@@ -6,8 +6,8 @@ and character tables.  Rationals travel as strings ("p/q" or "p"), never
 as floats, and every payload is ordered deterministically so reruns are
 byte-identical.
 
-Exit codes: 0 success, 1 self-check property failure, 2 input error,
-3 size-limit exceeded.
+Exit codes: 0 success, 1 self-check property failure or disagreeing
+Gamas deciders, 2 input or output error, 3 size-limit exceeded.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .characters import character_table
@@ -34,7 +33,7 @@ from .decision import (
     gamas_standard,
 )
 from .group_algebra import isotypic_projector
-from .linalg import VectorFamily, format_rational
+from .linalg import VectorFamily, format_rational, parse_rational
 from .sampling import random_family, scaled_family
 from .tensor import (
     act,
@@ -53,7 +52,11 @@ EXIT_LIMIT_ERROR = 3
 
 
 class InputError(Exception):
-    """Malformed instance file or inconsistent instance data."""
+    """Malformed instance file, inconsistent instance data or bad arguments."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_vector_list(raw, dim: int, n: int, label: str) -> tuple:
@@ -64,8 +67,8 @@ def _parse_vector_list(raw, dim: int, n: int, label: str) -> tuple:
         if not isinstance(vec, list) or len(vec) != dim:
             raise InputError(f'every vector in "{label}" must have {dim} entries')
         try:
-            vectors.append(tuple(Fraction(x) for x in vec))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            vectors.append(tuple(parse_rational(x) for x in vec))
+        except ValueError as exc:
             raise InputError(f'bad rational in "{label}": {exc}') from exc
     return tuple(vectors)
 
@@ -77,17 +80,17 @@ def load_instance(path: str, require_u: bool = False):
             obj = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("instance must be a JSON object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError('"dim" must be a positive integer')
     lam = obj.get("lambda")
     if (
         not isinstance(lam, list)
-        or not all(isinstance(p, int) for p in lam)
+        or not all(_is_int(p) for p in lam)
         or not is_partition(lam)
     ):
         raise InputError('"lambda" must be a weakly decreasing list of positive integers')
@@ -105,8 +108,11 @@ def load_instance(path: str, require_u: bool = False):
 def _emit(obj: dict, output: str | None) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -143,12 +149,20 @@ def cmd_gamas(args) -> int:
     lam, fv, _ = load_instance(args.input)
     nonzero, system = gamas_nonvanishing(fv, lam, args.max_n)
     standard_nonzero, tableau = gamas_standard(fv, lam, args.max_n)
-    assert nonzero == standard_nonzero
+    if nonzero != standard_nonzero:
+        print(
+            f"error: column-system scan says nonzero={nonzero}, "
+            f"standard-tableau scan says nonzero={standard_nonzero}",
+            file=sys.stderr,
+        )
+        return EXIT_SELFCHECK_FAILED
     _emit(
         {
             "nonzero": nonzero,
-            "witness_system": _system_json(system) if system else None,
-            "standard_witness": [list(r) for r in tableau] if tableau else None,
+            "witness_system": _system_json(system) if system is not None else None,
+            "standard_witness": (
+                [list(r) for r in tableau] if tableau is not None else None
+            ),
         },
         args.output,
     )
@@ -178,6 +192,8 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_characters(args) -> int:
+    if args.n < 0:
+        raise InputError("--n must be at least 0")
     table = character_table(args.n, args.max_n)
     _emit(
         {
@@ -193,12 +209,14 @@ def cmd_characters(args) -> int:
 
 
 def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
+    """Named properties; each returns its number of checks, or None at the
+    first failure (not an assert, which `python -O` would strip)."""
     dims = (2, 3)
     partitions = enumerate_partitions(n)
     projectors = {lam: isotypic_projector(lam, max_n) for lam in partitions}
     perms = list(enumerate_permutations(n, max_n))
 
-    def right_action_law() -> int:
+    def right_action_law() -> int | None:
         checks = 0
         for _ in range(trials):
             fam = random_family(rng, n, rng.choice(dims), adversarial=True)
@@ -207,11 +225,12 @@ def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
                 decomposable(random_family(rng, n, fam.dim)),
             )
             s, t = rng.choice(perms), rng.choice(perms)
-            assert tensor_equal(act(act(x, s), t), act(x, compose(s, t)))
+            if not tensor_equal(act(act(x, s), t), act(x, compose(s, t))):
+                return None
             checks += 1
         return checks
 
-    def projector_idempotent_and_complete() -> int:
+    def projector_idempotent_and_complete() -> int | None:
         checks = 0
         for _ in range(trials):
             fam = random_family(rng, n, rng.choice(dims), adversarial=True)
@@ -219,13 +238,15 @@ def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
             total = None
             for lam in partitions:
                 once = apply_element(x, projectors[lam])
-                assert tensor_equal(apply_element(once, projectors[lam]), once)
+                if not tensor_equal(apply_element(once, projectors[lam]), once):
+                    return None
                 total = once if total is None else tensor_add(total, once)
                 checks += 1
-            assert tensor_equal(total, x)
+            if not tensor_equal(total, x):
+                return None
         return checks
 
-    def gamas_matches_oracle() -> int:
+    def gamas_matches_oracle() -> int | None:
         checks = 0
         for _ in range(trials):
             fam = random_family(rng, n, rng.choice(dims), adversarial=True)
@@ -233,12 +254,13 @@ def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
             for lam in partitions:
                 nonzero, _ = gamas_nonvanishing(fam, lam, max_n)
                 standard, _ = gamas_standard(fam, lam, max_n)
-                assert nonzero == (not is_zero(apply_element(x, projectors[lam])))
-                assert standard == nonzero
+                oracle_nonzero = not is_zero(apply_element(x, projectors[lam]))
+                if nonzero != oracle_nonzero or standard != nonzero:
+                    return None
                 checks += 1
         return checks
 
-    def equality_matches_oracle() -> int:
+    def equality_matches_oracle() -> int | None:
         checks = 0
         for trial in range(trials):
             dim = rng.choice(dims)
@@ -255,7 +277,8 @@ def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
                     apply_element(xv, projectors[lam]),
                     apply_element(xu, projectors[lam]),
                 )
-                assert verdict.equal == oracle
+                if verdict.equal != oracle:
+                    return None
                 checks += 1
         return checks
 
@@ -268,16 +291,17 @@ def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
 
 
 def cmd_selfcheck(args) -> int:
+    if args.n < 1:
+        raise InputError("--n must be at least 1")
+    if args.trials < 0:
+        raise InputError("--trials must be at least 0")
     rng = random.Random(args.seed)
     results = []
-    ok = True
     for name, prop in _selfcheck_properties(args.n, args.trials, rng, args.max_n):
-        try:
-            checks = prop()
-            results.append({"name": name, "pass": True, "checks": checks})
-        except AssertionError:
-            results.append({"name": name, "pass": False, "checks": 0})
-            ok = False
+        checks = prop()
+        passed = checks is not None
+        results.append({"name": name, "pass": passed, "checks": checks if passed else 0})
+    ok = all(r["pass"] for r in results)
     _emit(
         {
             "n": args.n,

@@ -1,6 +1,6 @@
 """Exact rational vectors and matrices.
 
-Everything here is plain Gaussian elimination over `fractions.Fraction`;
+Everything here is one Gaussian elimination over `fractions.Fraction`;
 no floating point exists anywhere in the package, so every result is
 bit-reproducible.  Selections of vectors are always read in increasing
 index order; the equality decider relies on that single convention for
@@ -8,6 +8,7 @@ sign consistency of wedge products.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -42,8 +43,24 @@ class VectorFamily:
         return out
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(value) -> Fraction:
+    """The rational a non-bool int or a "p" / "p/q" string stands for.
+
+    Strings have the shape `format_rational` emits, an optional minus and
+    digits with no spaces; floats, bools, exponents, decimal points and
+    zero denominators raise ValueError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r:.40}") from None
+    raise ValueError(f"not an integer or a p/q string: {value!r:.40}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -53,61 +70,69 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by rational Gaussian elimination."""
+def _echelon(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int], int]:
+    """Row-echelon form by rational Gaussian elimination.
+
+    Returns the eliminated rows, the pivot column of each of the first
+    len(pivots) rows, and the sign of the row swaps made.  Stops as soon
+    as every row has a pivot.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
+    pivots: list[int] = []
+    swap_sign = 1
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
     for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
         pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swap_sign = -swap_sign
         for i in range(r + 1, n_rows):
             if m[i][c] != 0:
                 factor = m[i][c] / m[r][c]
                 for j in range(c, n_cols):
                     m[i][j] -= factor * m[r][j]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+        pivots.append(c)
+    return m, pivots, swap_sign
+
+
+def _pivot_product(
+    m: list[list[Fraction]], pivots: list[int], swap_sign: int
+) -> Fraction:
+    """The minor on the pivot columns of the rows `_echelon` was given."""
+    product = Fraction(swap_sign)
+    for r, c in enumerate(pivots):
+        product *= m[r][c]
+    return product
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank by rational Gaussian elimination."""
+    return len(_echelon(rows)[1])
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    size = len(m)
-    for row in m:
-        if len(row) != size:
-            raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((i for i in range(c, size) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, size):
-            if m[i][c] != 0:
-                factor = m[i][c] / m[c][c]
-                for j in range(c, size):
-                    m[i][j] -= factor * m[c][j]
-    return det
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    m, pivots, swap_sign = _echelon(rows)
+    if len(pivots) < size:
+        return Fraction(0)
+    return _pivot_product(m, pivots, swap_sign)
 
 
 def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
     """Whether the selected vectors are linearly independent."""
     selected = family.select(indices)
     return rank(selected) == len(selected)
-
-
-def _stack_rank(a: Sequence[Vector], b: Sequence[Vector]) -> int:
-    return rank(list(a) + list(b))
 
 
 def span_equal(
@@ -123,45 +148,7 @@ def span_equal(
         raise ValueError("span comparison requires independent selections")
     if len(sel_a) != len(sel_b):
         return False
-    return _stack_rank(sel_a, sel_b) == len(sel_a)
-
-
-def coordinates_in_basis(basis: Sequence[Vector], targets: Sequence[Vector]) -> list[list[Fraction]]:
-    """Express each target in the given basis of its span.
-
-    Returns the coefficient matrix A with targets[j] = sum_i A[i][j] basis[i].
-    Raises if some target lies outside the span.
-    """
-    k = len(basis)
-    dim = len(basis[0]) if basis else 0
-    # augmented system: columns are basis vectors, right-hand sides the targets
-    aug = [
-        [basis[i][row] for i in range(k)] + [t[row] for t in targets]
-        for row in range(dim)
-    ]
-    n_rhs = len(targets)
-    # forward elimination with partial (first nonzero) pivoting
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, dim) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("basis is linearly dependent")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        for i in range(dim):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c] / aug[r][c]
-                for j in range(c, k + n_rhs):
-                    aug[i][j] -= factor * aug[r][j]
-        pivots.append(c)
-        r += 1
-    for i in range(k, dim):
-        if any(aug[i][k + j] != 0 for j in range(n_rhs)):
-            raise ValueError("target outside the span of the basis")
-    return [
-        [aug[i][k + j] / aug[i][pivots[i]] for j in range(n_rhs)]
-        for i in range(k)
-    ]
+    return rank(sel_a + sel_b) == len(sel_a)
 
 
 def transition_scalar(
@@ -183,5 +170,8 @@ def transition_scalar(
         return Fraction(1)
     if not span_equal(fam_a, idx_a, fam_b, idx_b):
         raise ValueError("selections span distinct subspaces")
-    coords = coordinates_in_basis(sel_b, sel_a)
-    return determinant(coords)
+    # wedge(a) = c * wedge(b) scales every maximal minor by c; take the
+    # minor on the pivot columns of b, where b's minor is nonzero
+    m, pivots, swap_sign = _echelon(sel_b)
+    minor_a = determinant([[v[c] for c in pivots] for v in sel_a])
+    return minor_a / _pivot_product(m, pivots, swap_sign)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symten import cli
 from symten.tensor import from_json_obj, tensor_equal
@@ -162,3 +167,128 @@ def test_exhaustive_failures_flag(capsys, tmp_path):
     code, out = run(capsys, "equal", "--input", str(path), "--exhaustive-failures")
     assert code == 0
     assert json.loads(out)["equal"] is False
+
+
+def write_instance(tmp_path, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 1, "lambda": [1], "v": [[0.1]]}',
+        '{"dim": 1, "lambda": [1], "v": [[true]]}',
+        '{"dim": 1, "lambda": [1], "v": [[Infinity]]}',
+        '{"dim": 1, "lambda": [1], "v": [["1e10000000"]]}',
+        '{"dim": 1, "lambda": [1], "v": [["1/0"]]}',
+        '{"dim": 1, "lambda": [1], "v": [[' + "7" * 5000 + "]]}",
+        '{"dim": true, "lambda": [1], "v": [["1"]]}',
+        '{"dim": 1, "lambda": [true], "v": [["1"]]}',
+    ],
+    ids=["float", "bool", "infinity", "exponent", "zero-denominator", "5000-digits",
+         "bool-dim", "bool-part"],
+)
+def test_non_rational_inputs_exit_2(capsys, tmp_path, text):
+    assert cli.main(["gamas", "--input", write_instance(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integer_entries_accepted(capsys, tmp_path):
+    path = write_instance(tmp_path, '{"dim": 2, "lambda": [1, 1], "v": [[1, 0], [0, -3]]}')
+    code, out = run(capsys, "gamas", "--input", path)
+    assert code == 0
+    assert json.loads(out)["nonzero"] is True
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_output_exits_2(capsys, tmp_path, target):
+    output = str(tmp_path / target)
+    code = cli.main(
+        ["gamas", "--input", str(DATA / "gamas_vanishing.json"), "--output", output]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+def test_argument_ranges_exit_2(capsys):
+    for argv in (
+        ["characters", "--n", "-3"],
+        ["selfcheck", "--n", "0"],
+        ["selfcheck", "--n", "-1"],
+        ["selfcheck", "--n", "2", "--trials", "-1"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    code, out = run(capsys, "characters", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["n"] == 0
+
+
+def test_selfcheck_failure_exits_1_under_optimize():
+    # python -O strips assert statements; the properties must still fail
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys, symten.cli as c\n"
+        "c.tensor_equal = lambda *a, **k: False\n"
+        "sys.exit(c.main(['selfcheck', '--n', '2', '--trials', '2', '--seed', '0']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ok"] is False
+    assert not all(p["pass"] for p in report["properties"])
+
+
+def test_gamas_decider_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gamas_standard", lambda *a, **k: (False, None))
+    code = cli.main(["gamas", "--input", str(DATA / "gamas_nonvanishing.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_empty_shape_witnesses(capsys, tmp_path):
+    path = write_instance(tmp_path, '{"dim": 2, "lambda": [], "v": []}')
+    code, out = run(capsys, "gamas", "--input", path)
+    assert code == 0
+    assert json.loads(out) == {"nonzero": True, "witness_system": [], "standard_witness": []}
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=4)
+    | st.floats()
+    | st.sampled_from(["1", "-1/2", "0", "1/0", "0.5", "1e3", "x", ""])
+)
+json_values = st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+# near-valid parts, so that some documents parse
+dims = st.integers(min_value=1, max_value=2) | json_values
+shapes = st.sampled_from([[], [1], [2], [1, 1], [True], [1.0], [-1]]) | json_values
+vectors = st.lists(st.lists(json_leaves, min_size=1, max_size=2), max_size=2) | json_values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    json_values
+    | st.fixed_dictionaries(
+        {"dim": dims, "lambda": shapes, "v": vectors}, optional={"u": vectors}
+    )
+)
+def test_load_instance_parses_or_raises_input_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(doc))
+    try:
+        lam, fv, fu = cli.load_instance(str(path))
+    except cli.InputError:
+        return
+    assert type(fv.dim) is int and all(type(p) is int for p in lam)
+    assert len(fv) == sum(lam)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symten.combinatorics import sign
 from symten.linalg import (
     VectorFamily,
-    coordinates_in_basis,
     determinant,
     format_rational,
     is_independent,
@@ -143,6 +143,8 @@ def test_transition_scalar_inverse_and_chain():
         ab = transition_scalar(fam_a, idx, fam_b, idx)
         ba = transition_scalar(fam_b, idx, fam_a, idx)
         assert ab * ba == 1
+        # fam_b = mix_b . base, so wedge(b) = det(mix_b) wedge(a)
+        assert ab == 1 / determinant(mix_b)
         ac = transition_scalar(fam_a, idx, fam_a, idx)
         assert ac == 1
         assert ab == transition_scalar(fam_a, idx, fam_b, idx)
@@ -170,6 +172,7 @@ def test_reading_order_signs_cancel_in_products():
     # of its wedge wherever the set occurs; since each set occurs once as a
     # source and once as a target, the scalar product is invariant
     rng = random.Random(3)
+    idx = {1, 2, 3}
     for _ in range(20):
         base = _random_independent(rng, 3, 3)
         other = _random_independent(rng, 3, 3)
@@ -177,12 +180,15 @@ def test_reading_order_signs_cancel_in_products():
             other = _random_independent(rng, 3, 3)
         order = list(range(3))
         rng.shuffle(order)
-        scalar_plain = determinant(coordinates_in_basis(other, base))
-        reread_base = [base[i] for i in order]
+        fam_base = VectorFamily(3, tuple(base))
+        fam_other = VectorFamily(3, tuple(other))
+        fam_reread = VectorFamily(3, tuple(base[i] for i in order))
+        scalar_plain = transition_scalar(fam_base, idx, fam_other, idx)
         # set used as source and as target with the same re-reading
-        scalar_reread = determinant(coordinates_in_basis(other, reread_base))
-        back_plain = determinant(coordinates_in_basis(base, other))
-        back_reread = determinant(coordinates_in_basis(reread_base, other))
+        scalar_reread = transition_scalar(fam_reread, idx, fam_other, idx)
+        back_plain = transition_scalar(fam_other, idx, fam_base, idx)
+        back_reread = transition_scalar(fam_other, idx, fam_reread, idx)
+        assert scalar_reread == sign(tuple(i + 1 for i in order)) * scalar_plain
         assert scalar_plain * back_plain == scalar_reread * back_reread == 1
 
 
@@ -198,6 +204,19 @@ def test_rational_formatting():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-1, 2)) == "-1/2"
     assert parse_rational("7/3") == F(7, 3)
+    assert parse_rational(-4) == -4
+    assert parse_rational("-0/5") == 0
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 0.5, 1.0, float("inf"), None, [1], "0.1", "1e3", "1e10000000",
+     " 1", "1 ", "+1", "1/-2", "1/0", "", "1/", "/2", "½", "１", "1" * 5000],
+    ids=lambda value: repr(value)[:16],
+)
+def test_parse_rational_rejects(value):
+    with pytest.raises(ValueError):
+        parse_rational(value)
 
 
 def test_vector_family_validation():
