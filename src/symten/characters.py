@@ -32,7 +32,8 @@ def hook_length_dimension(lam: Part) -> int:
         for j in range(part):
             product *= part - j + conj[j] - i - 1
     dim, rem = divmod(math.factorial(n), product)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook product {product} does not divide {n}!")
     return dim
 
 
@@ -102,8 +103,7 @@ def young_permutation_character(lam: Part, sigma: Perm) -> int:
     """Number of tabloids of shape lam fixed by sigma."""
     if sum(lam) != len(sigma):
         raise ValueError(f"degree mismatch: |{lam}| != {len(sigma)}")
-    lengths = tuple(sorted(cycle_type(sigma), reverse=True))
-    return _fixed_tabloid_count(tuple(lam), lengths)
+    return _fixed_tabloid_count(tuple(lam), cycle_type(sigma))
 
 
 def class_size(ct: Part, n: int) -> int:
@@ -162,6 +162,7 @@ def character_table_oracle(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable
                 Fraction(sz) * a * b for sz, a, b in zip(sizes, vec, prev)
             ) / n_fact
             vec = [a - ip * b for a, b in zip(vec, prev)]
-        assert all(a.denominator == 1 for a in vec)
+        if any(a.denominator != 1 for a in vec):
+            raise ArithmeticError(f"non-integer character value in the row of {lam}")
         rows.append(tuple(int(a) for a in vec))
     return CharacterTable(n, parts, parts, sizes, tuple(rows))

@@ -6,8 +6,9 @@ and character tables.  Rationals travel as strings ("p/q" or "p"), never
 as floats, and every payload is ordered deterministically so reruns are
 byte-identical.
 
-Exit codes: 0 success, 1 self-check property failure or disagreeing
-Gamas deciders, 2 input or output error, 3 size-limit exceeded.
+Exit codes: 0 success, 1 self-check property failure (a property that
+raises fails) or disagreeing Gamas deciders, 2 input or output error,
+3 size-limit exceeded.
 """
 from __future__ import annotations
 
@@ -298,7 +299,11 @@ def cmd_selfcheck(args) -> int:
     rng = random.Random(args.seed)
     results = []
     for name, prop in _selfcheck_properties(args.n, args.trials, rng, args.max_n):
-        checks = prop()
+        try:
+            checks = prop()
+        except Exception as exc:  # a crashing property is a failed property
+            print(f"error: {name} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            checks = None
         passed = checks is not None
         results.append({"name": name, "pass": passed, "checks": checks if passed else 0})
     ok = all(r["pass"] for r in results)
@@ -376,6 +381,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_n < 0:
+            raise InputError("--max-n must be at least 0")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,7 +77,20 @@ def cycles(sigma: Perm) -> list[tuple[int, ...]]:
 
 
 def cycle_type(sigma: Perm) -> Part:
-    return tuple(sorted((len(c) for c in cycles(sigma)), reverse=True))
+    """Cycle lengths, fixed points included, in decreasing order."""
+    unseen = set(sigma)
+    lengths = []
+    while unseen:
+        start = unseen.pop()
+        length = 1
+        i = sigma[start - 1]
+        while i != start:
+            unseen.discard(i)
+            i = sigma[i - 1]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def sign(sigma: Perm) -> int:

@@ -25,6 +25,7 @@ from .combinatorics import (
     compose,
     cycle_type,
     enumerate_fillings,
+    enumerate_partitions,
     enumerate_permutations,
     identity,
     row_group,
@@ -131,15 +132,22 @@ def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
     """The central idempotent projecting onto the isotypic component of lam.
 
     Coefficient of sigma is dim/n! times the character value on sigma's
-    class; character values are looked up per cycle type.
+    class; the weight is computed once per cycle type and shared by the
+    class, and classes where the character vanishes are left out.
     """
     lam = tuple(lam)
     n = sum(lam)
     check_limit(n, max_n)
     scale = Fraction(hook_length_dimension(lam), math.factorial(n))
+    weights = {
+        ct: scale * chi
+        for ct in enumerate_partitions(n)
+        if (chi := mn_character(lam, ct))
+    }
     terms = {
-        p: scale * mn_character(lam, cycle_type(p))
+        p: weight
         for p in enumerate_permutations(n, max_n)
+        if (weight := weights.get(cycle_type(p))) is not None
     }
     return GroupAlgebraElement(n, terms)
 

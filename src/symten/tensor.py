@@ -8,8 +8,10 @@ to nonzero rationals; equality of tensors is equality of entry maps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .combinatorics import Perm
 from .group_algebra import GroupAlgebraElement
@@ -63,15 +65,34 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
 
 
 def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
-    """Apply a group-algebra element: the weighted sum of permuted copies."""
+    """Apply a group-algebra element: the weighted sum of permuted copies.
+
+    Exact, on integers: the weights are scaled by the lcm of their
+    denominators and the entries by the lcm of theirs, so every term is an
+    `int` multiply-add, and each nonzero sum is divided by the product of
+    the two lcms once, at the end.  The result equals the `Fraction` sum.
+    """
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
-    entries: dict[Index, Fraction] = {}
+    d_g = math.lcm(*{w.denominator for w in g.terms.values()})
+    d_x = math.lcm(*{c.denominator for c in x.entries.values()})
+    # a leading pad lets sigma's one-based images pick the slots directly
+    padded = [(0, *index) for index in x.entries]
+    coeffs = [c.numerator * (d_x // c.denominator) for c in x.entries.values()]
+    # itemgetter returns a bare item for one position, and S_0 and S_1
+    # hold only the identity, which drops the pad
+    unpad = itemgetter(slice(1, None))
+    sums: dict[Index, int] = {}
+    get = sums.get
     for sigma, weight in g.terms.items():
-        for index, coeff in x.entries.items():
-            moved = tuple(index[s - 1] for s in sigma)
-            entries[moved] = entries.get(moved, Fraction(0)) + weight * coeff
-    return SparseTensor(x.dim, x.order, entries)
+        w = weight.numerator * (d_g // weight.denominator)
+        move = itemgetter(*sigma) if x.order > 1 else unpad
+        for moved, c in zip(map(move, padded), coeffs):
+            sums[moved] = get(moved, 0) + w * c
+    d = d_g * d_x
+    return SparseTensor(
+        x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
+    )
 
 
 def tensor_add(x: SparseTensor, y: SparseTensor) -> SparseTensor:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from symten import characters
 from symten.characters import (
     character_table,
     character_table_oracle,
@@ -113,3 +114,17 @@ def test_sum_of_squared_dimensions(n):
     assert sum(
         hook_length_dimension(lam) ** 2 for lam in enumerate_partitions(n)
     ) == math.factorial(n)
+
+
+def test_oracle_refuses_non_integer_values(monkeypatch):
+    # one extra fixed tabloid for the identity in S_2 makes the (1,1) row
+    # of the Gram-Schmidt non-integral; the check must not be an assert
+    real = characters._fixed_tabloid_count
+
+    def perturbed(capacities, cycle_lengths):
+        extra = capacities == (1, 1) and cycle_lengths == (1, 1)
+        return real(capacities, cycle_lengths) + extra
+
+    monkeypatch.setattr(characters, "_fixed_tabloid_count", perturbed)
+    with pytest.raises(ArithmeticError):
+        character_table_oracle(2)

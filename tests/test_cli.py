@@ -228,6 +228,38 @@ def test_argument_ranges_exit_2(capsys):
     assert json.loads(out)["n"] == 0
 
 
+def test_negative_max_n_exits_2(capsys):
+    instance = str(DATA / "equal_scaling.json")
+    for argv in (
+        ["gamas", "--input", instance],
+        ["equal", "--input", instance],
+        ["symmetrize", "--input", instance],
+        ["characters", "--n", "0"],
+        ["selfcheck", "--n", "2", "--trials", "1"],
+    ):
+        assert cli.main([*argv, "--max-n", "-1"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-n must be at least 0\n"
+
+
+def test_selfcheck_property_that_raises_fails(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "tensor_equal", boom)
+    code = cli.main(["selfcheck", "--n", "2", "--trials", "2", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert "error: right_action_law raised RuntimeError: boom\n" in captured.err
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    passed = {p["name"]: p["pass"] for p in report["properties"]}
+    assert passed["right_action_law"] is False
+    assert passed["gamas_matches_oracle"] is True  # uses no tensor_equal
+
+
 def test_selfcheck_failure_exits_1_under_optimize():
     # python -O strips assert statements; the properties must still fail
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -12,6 +12,7 @@ from symten.combinatorics import (
     compose,
     conjugate,
     cycle_type,
+    cycles,
     enumerate_column_systems,
     enumerate_fillings,
     enumerate_partitions,
@@ -78,6 +79,12 @@ def test_cycle_type_examples():
     assert cycle_type(identity(4)) == (1, 1, 1, 1)
     assert cycle_type((2, 1, 3)) == (2, 1)
     assert cycle_type((2, 3, 1, 5, 4)) == (3, 2)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cycle_type_matches_cycle_decomposition(n):
+    for p in enumerate_permutations(n):
+        assert cycle_type(p) == tuple(sorted(map(len, cycles(p)), reverse=True))
 
 
 def test_enumerate_permutations():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from symten.characters import hook_length_dimension
+from symten.characters import hook_length_dimension, mn_character
 from symten.combinatorics import (
+    cycles,
     enumerate_fillings,
     enumerate_partitions,
     enumerate_permutations,
@@ -99,6 +100,22 @@ def test_isotypic_projector_small():
         ((3, 1, 2), Fraction(-1, 3)),
     )
     assert isotypic_projector((2, 1)) == expected
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_isotypic_projector_matches_per_permutation_formula(n):
+    partitions = enumerate_partitions(n)
+    for lam in partitions:
+        scale = Fraction(hook_length_dimension(lam), math.factorial(n))
+        expected = {}
+        for p in enumerate_permutations(n):
+            chi = mn_character(lam, tuple(sorted(map(len, cycles(p)), reverse=True)))
+            if chi:
+                expected[p] = scale * chi
+        terms = isotypic_projector(lam).terms
+        assert terms == expected
+        # one shared weight per class, not one Fraction per permutation
+        assert len({id(w) for w in terms.values()}) <= len(partitions)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

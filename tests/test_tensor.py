@@ -2,9 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symten.combinatorics import compose, enumerate_partitions, enumerate_permutations, identity
-from symten.group_algebra import ga_multiply, isotypic_projector, unit, young_symmetrizer
+from symten.group_algebra import (
+    GroupAlgebraElement,
+    basis_element,
+    ga_multiply,
+    isotypic_projector,
+    unit,
+    young_symmetrizer,
+    zero_element,
+)
 from symten.linalg import VectorFamily
 from symten.sampling import random_family
 from symten.tensor import (
@@ -128,3 +138,52 @@ def test_json_round_trip():
     assert indices == sorted(indices)
     assert all(isinstance(e["coeff"], str) for e in obj["entries"])
     assert tensor_equal(from_json_obj(obj), x)
+
+
+def _reference_apply(x, g):
+    """apply_element written out term by term in Fraction arithmetic."""
+    entries = {}
+    for sigma, weight in g.terms.items():
+        for index, coeff in x.entries.items():
+            moved = tuple(index[s - 1] for s in sigma)
+            entries[moved] = entries.get(moved, F(0)) + weight * coeff
+    return {i: c for i, c in entries.items() if c != 0}
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def _tensor_and_element(draw):
+    order = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(1, dim)] * order)
+    x = SparseTensor(dim, order, draw(st.dictionaries(index, _rationals, max_size=6)))
+    perm = st.permutations(range(1, order + 1)).map(tuple)
+    g = GroupAlgebraElement(order, draw(st.dictionaries(perm, _rationals, max_size=8)))
+    if order >= 2 and draw(st.booleans()):
+        # x fixed by a transposition tau is killed by (1 - tau) * h, so
+        # every sum of that part cancels to zero inside the accumulator
+        tau = (2, 1) + tuple(range(3, order + 1))
+        x = tensor_add(x, act(x, tau))
+        g = g + ga_multiply(unit(order) - basis_element(tau), g)
+    return x, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensor_and_element())
+def test_apply_element_matches_fraction_reference(case):
+    x, g = case
+    result = apply_element(x, g)
+    assert (result.dim, result.order) == (x.dim, x.order)
+    assert result.entries == _reference_apply(x, g)
+    assert all(type(c) is F for c in result.entries.values())
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5])
+def test_apply_element_zero_operands(order):
+    x = SparseTensor(2, order, {(1,) * order: F(3, 4)})
+    assert apply_element(x, unit(order)) == x
+    assert is_zero(apply_element(x, zero_element(order)))
+    assert is_zero(apply_element(zero_tensor(2, order), unit(order)))
+    assert apply_element(x, F(2, 3) * unit(order)).entries == {(1,) * order: F(1, 2)}
