@@ -44,6 +44,12 @@ def test_characters_golden(capsys):
     assert out == (GOLDEN / "characters_n4.json").read_text()
 
 
+def test_selfcheck_golden(capsys):
+    code, out = run(capsys, "selfcheck", "--n", "3", "--trials", "5", "--seed", "2")
+    assert code == 0
+    assert out == (GOLDEN / "selfcheck_n3.json").read_text()
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     args = ("equal", "--input", str(DATA / "equal_scaling.json"))
     _, first = run(capsys, *args)
