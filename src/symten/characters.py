@@ -123,9 +123,6 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
     values: tuple[tuple[int, ...], ...]  # values[i][j] = chi^{partitions[i]}(classes[j])
 
-    def row(self, lam: Part) -> tuple[int, ...]:
-        return self.values[self.partitions.index(tuple(lam))]
-
 
 def character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
     """The full character table of S_n via the border-strip recursion."""

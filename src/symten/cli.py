@@ -4,7 +4,7 @@ Reads problem instances as JSON, runs the combinatorial deciders and the
 brute-force tensor oracle, and emits JSON verdicts, witnesses, tensors
 and character tables.  Rationals travel as strings ("p/q" or "p"), never
 as floats, and every payload is ordered deterministically so reruns are
-byte-identical.
+byte-identical.  `selfcheck` runs the properties of `symten.crosscheck`.
 
 Exit codes: 0 success, 1 self-check property failure (a property that
 raises fails) or disagreeing Gamas deciders, 2 input or output error,
@@ -17,16 +17,9 @@ import json
 import random
 import sys
 
-from . import __version__
+from . import __version__, crosscheck
 from .characters import character_table
-from .combinatorics import (
-    DEFAULT_MAX_N,
-    SizeLimitError,
-    compose,
-    enumerate_partitions,
-    enumerate_permutations,
-    is_partition,
-)
+from .combinatorics import DEFAULT_MAX_N, SizeLimitError, is_partition
 from .decision import (
     EqualityVerdict,
     decide_equality,
@@ -35,16 +28,7 @@ from .decision import (
 )
 from .group_algebra import isotypic_projector
 from .linalg import VectorFamily, format_rational, parse_rational
-from .sampling import random_family, scaled_family
-from .tensor import (
-    act,
-    apply_element,
-    decomposable,
-    is_zero,
-    tensor_add,
-    tensor_equal,
-    to_json_obj,
-)
+from .tensor import apply_element, decomposable, to_json_obj
 
 EXIT_OK = 0
 EXIT_SELFCHECK_FAILED = 1
@@ -209,88 +193,6 @@ def cmd_characters(args) -> int:
     return EXIT_OK
 
 
-def _selfcheck_properties(n: int, trials: int, rng: random.Random, max_n: int):
-    """Named properties; each returns its number of checks, or None at the
-    first failure (not an assert, which `python -O` would strip)."""
-    dims = (2, 3)
-    partitions = enumerate_partitions(n)
-    projectors = {lam: isotypic_projector(lam, max_n) for lam in partitions}
-    perms = list(enumerate_permutations(n, max_n))
-
-    def right_action_law() -> int | None:
-        checks = 0
-        for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            x = tensor_add(
-                decomposable(fam),
-                decomposable(random_family(rng, n, fam.dim)),
-            )
-            s, t = rng.choice(perms), rng.choice(perms)
-            if not tensor_equal(act(act(x, s), t), act(x, compose(s, t))):
-                return None
-            checks += 1
-        return checks
-
-    def projector_idempotent_and_complete() -> int | None:
-        checks = 0
-        for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            x = decomposable(fam)
-            total = None
-            for lam in partitions:
-                once = apply_element(x, projectors[lam])
-                if not tensor_equal(apply_element(once, projectors[lam]), once):
-                    return None
-                total = once if total is None else tensor_add(total, once)
-                checks += 1
-            if not tensor_equal(total, x):
-                return None
-        return checks
-
-    def gamas_matches_oracle() -> int | None:
-        checks = 0
-        for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            x = decomposable(fam)
-            for lam in partitions:
-                nonzero, _ = gamas_nonvanishing(fam, lam, max_n)
-                standard, _ = gamas_standard(fam, lam, max_n)
-                oracle_nonzero = not is_zero(apply_element(x, projectors[lam]))
-                if nonzero != oracle_nonzero or standard != nonzero:
-                    return None
-                checks += 1
-        return checks
-
-    def equality_matches_oracle() -> int | None:
-        checks = 0
-        for trial in range(trials):
-            dim = rng.choice(dims)
-            fv = random_family(rng, n, dim, adversarial=True)
-            if trial % 3 == 0:
-                fu = random_family(rng, n, dim, adversarial=True)
-            else:
-                fu = scaled_family(rng, fv, unit_product=(trial % 3 == 1))
-            xv = decomposable(fv)
-            xu = decomposable(fu)
-            for lam in partitions:
-                verdict = decide_equality(fv, fu, lam, max_n)
-                oracle = tensor_equal(
-                    apply_element(xv, projectors[lam]),
-                    apply_element(xu, projectors[lam]),
-                )
-                if verdict.equal != oracle:
-                    return None
-                checks += 1
-        return checks
-
-    return [
-        ("right_action_law", right_action_law),
-        ("projector_idempotent_and_complete", projector_idempotent_and_complete),
-        ("gamas_matches_oracle", gamas_matches_oracle),
-        ("equality_matches_oracle", equality_matches_oracle),
-    ]
-
-
 def cmd_selfcheck(args) -> int:
     if args.n < 1:
         raise InputError("--n must be at least 1")
@@ -298,7 +200,7 @@ def cmd_selfcheck(args) -> int:
         raise InputError("--trials must be at least 0")
     rng = random.Random(args.seed)
     results = []
-    for name, prop in _selfcheck_properties(args.n, args.trials, rng, args.max_n):
+    for name, prop in crosscheck.properties(args.n, args.trials, rng, args.max_n):
         try:
             checks = prop()
         except Exception as exc:  # a crashing property is a failed property

@@ -41,10 +41,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def is_permutation(images: Sequence[int]) -> bool:
-    return sorted(images) == list(range(1, len(images) + 1))
-
-
 def compose(sigma: Perm, tau: Perm) -> Perm:
     """Return sigma tau, acting as (sigma tau)(i) = sigma(tau(i))."""
     if len(sigma) != len(tau):

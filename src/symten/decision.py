@@ -9,7 +9,6 @@ all span-compatible column matchings.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional

@@ -164,14 +164,20 @@ def transition_scalar(
     """
     sel_a = fam_a.select(idx_a)
     sel_b = fam_b.select(idx_b)
-    if len(sel_a) != len(sel_b):
+    k = len(sel_b)
+    if len(sel_a) != k:
         raise ValueError("selections of different sizes")
     if not sel_a:
         return Fraction(1)
-    if not span_equal(fam_a, idx_a, fam_b, idx_b):
-        raise ValueError("selections span distinct subspaces")
-    # wedge(a) = c * wedge(b) scales every maximal minor by c; take the
-    # minor on the pivot columns of b, where b's minor is nonzero
     m, pivots, swap_sign = _echelon(sel_b)
+    if len(pivots) < k:
+        raise ValueError("span comparison requires independent selections")
+    if rank(sel_b + sel_a) != k:
+        raise ValueError("selections span distinct subspaces")
+    # a lies in span(b), which maps one-to-one onto b's pivot coordinates,
+    # so a's minor there is nonzero exactly when a is independent; and
+    # wedge(a) = c * wedge(b) scales every maximal minor by c
     minor_a = determinant([[v[c] for c in pivots] for v in sel_a])
+    if minor_a == 0:
+        raise ValueError("span comparison requires independent selections")
     return minor_a / _pivot_product(m, pivots, swap_sign)

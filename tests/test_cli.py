@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symten import cli
+from symten import cli, crosscheck
 from symten.tensor import from_json_obj, tensor_equal
 
 DATA = Path(__file__).parent / "data"
@@ -152,9 +152,7 @@ def test_selfcheck_minimal(capsys):
 
 
 def test_selfcheck_failure_exits_1(capsys, monkeypatch):
-    import symten.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "tensor_equal", lambda *a, **k: False)
+    monkeypatch.setattr(crosscheck, "tensor_equal", lambda *a, **k: False)
     code = cli.main(["selfcheck", "--n", "2", "--trials", "2", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 1
@@ -253,7 +251,7 @@ def test_selfcheck_property_that_raises_fails(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "tensor_equal", boom)
+    monkeypatch.setattr(crosscheck, "tensor_equal", boom)
     code = cli.main(["selfcheck", "--n", "2", "--trials", "2", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 1
@@ -271,8 +269,8 @@ def test_selfcheck_failure_exits_1_under_optimize():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
-        "import sys, symten.cli as c\n"
-        "c.tensor_equal = lambda *a, **k: False\n"
+        "import sys, symten.cli as c, symten.crosscheck as x\n"
+        "x.tensor_equal = lambda *a, **k: False\n"
         "sys.exit(c.main(['selfcheck', '--n', '2', '--trials', '2', '--seed', '0']))\n"
     )
     proc = subprocess.run(

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from symten.combinatorics import enumerate_column_systems, enumerate_partitions
+from symten import crosscheck
+from symten.combinatorics import compose, enumerate_column_systems, enumerate_partitions
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
     PRODUCT_NOT_ONE,
@@ -15,7 +17,7 @@ from symten.decision import (
 from symten.group_algebra import isotypic_projector
 from symten.linalg import VectorFamily
 from symten.sampling import random_family, scaled_family
-from symten.tensor import apply_element, decomposable, is_zero, tensor_equal
+from symten.tensor import is_zero
 
 F = Fraction
 
@@ -149,27 +151,38 @@ def test_per_vector_scaling_single_column():
                 assert verdict_off.equal and verdict_off.mode == "both_vanish"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_matches_tensor_oracle_random(n):
-    rng = random.Random(50 + n)
-    partitions = enumerate_partitions(n)
-    projectors = {lam: isotypic_projector(lam) for lam in partitions}
-    for trial in range(12):
-        dim = rng.choice((2, 3))
-        fv = random_family(rng, n, dim, adversarial=True)
-        if trial % 3 == 0:
-            fu = scaled_family(rng, fv, unit_product=bool(trial % 2))
-        else:
-            fu = random_family(rng, n, dim, adversarial=True)
-        xv = decomposable(fv)
-        xu = decomposable(fu)
-        for lam in partitions:
-            expected = tensor_equal(
-                apply_element(xv, projectors[lam]),
-                apply_element(xu, projectors[lam]),
-            )
-            assert decide_equality(fv, fu, lam).equal == expected
-            nonzero, _ = gamas_nonvanishing(fv, lam)
-            assert nonzero == (not is_zero(apply_element(xv, projectors[lam])))
-            standard, _ = gamas_standard(fv, lam)
-            assert standard == nonzero
+def _leaky_projector(lam, max_n):
+    """Half the trivial projector moved onto the sign projector: the
+    projectors still sum to 1, but neither of the two is idempotent."""
+    n = sum(lam)
+    half = Fraction(1, 2) * isotypic_projector((n,), max_n)
+    if lam == (n,):
+        return isotypic_projector(lam, max_n) - half
+    if lam == (1,) * n:
+        return isotypic_projector(lam, max_n) + half
+    return isotypic_projector(lam, max_n)
+
+
+def _flip_verdict(fv, fu, lam, max_n):
+    verdict = decide_equality(fv, fu, lam, max_n)
+    return dataclasses.replace(verdict, equal=not verdict.equal)
+
+
+@pytest.mark.parametrize(
+    "name,target,broken",
+    [
+        ("right_action_law", "compose", lambda s, t: compose(t, s)),
+        ("projector_idempotent_and_complete", "isotypic_projector", _leaky_projector),
+        ("projector_idempotent_and_complete", "enumerate_partitions",
+         lambda n: enumerate_partitions(n)[:-1]),
+        ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x)),
+        ("gamas_matches_oracle", "gamas_standard", lambda fam, lam, max_n: (False, None)),
+        ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
+        ("equality_matches_oracle", "decide_equality", _flip_verdict),
+    ],
+    ids=["action", "idempotent", "complete", "oracle", "standard", "witness", "equality"],
+)
+def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, target, broken):
+    monkeypatch.setattr(crosscheck, target, broken)
+    prop = dict(crosscheck.properties(3, 6, random.Random(1)))[name]
+    assert prop() is None

@@ -109,6 +109,18 @@ def test_transition_scalar_examples():
         transition_scalar(a, {1}, a, {1, 2})
 
 
+def test_transition_scalar_rejects_dependent_selections():
+    independent = fam(E1, E2)
+    dependent = fam(E1, (2, 0, 0))  # inside the span of the other
+    with pytest.raises(ValueError, match="independent"):
+        transition_scalar(dependent, {1, 2}, independent, {1, 2})
+    with pytest.raises(ValueError, match="independent"):
+        transition_scalar(independent, {1, 2}, dependent, {1, 2})
+    # independent, with a nonzero minor on b's pivot column, spans distinct
+    with pytest.raises(ValueError, match="distinct"):
+        transition_scalar(fam((1, 1, 0)), {1}, fam(E1), {1})
+
+
 def _random_independent(rng, dim, count):
     while True:
         vectors = [

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symten.combinatorics import compose, enumerate_partitions, enumerate_permutations, identity
+from symten import crosscheck
+from symten.combinatorics import enumerate_partitions, identity
 from symten.group_algebra import (
     GroupAlgebraElement,
     basis_element,
@@ -88,17 +89,11 @@ def test_canonical_form_drops_zeros():
     assert is_zero(tensor_add(x, tensor_scale(x, -1)))
 
 
-@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 3)])
-def test_right_action_law(n, r):
-    rng = random.Random(n * 10 + r)
-    perms = list(enumerate_permutations(n))
-    for _ in range(20):
-        x = tensor_add(
-            decomposable(random_family(rng, n, r, adversarial=True)),
-            tensor_scale(decomposable(random_family(rng, n, r)), F(rng.randint(1, 3), 2)),
-        )
-        s, t = rng.choice(perms), rng.choice(perms)
-        assert tensor_equal(act(act(x, s), t), act(x, compose(s, t)))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_and_projector_properties(n):
+    props = dict(crosscheck.properties(n, 10, random.Random(100 + n)))
+    assert props["right_action_law"]() == 10
+    assert props["projector_idempotent_and_complete"]() == 10 * len(enumerate_partitions(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -113,19 +108,6 @@ def test_apply_element_respects_products(n):
             apply_element(apply_element(x, g), h),
         )
         assert tensor_equal(apply_element(x, unit(n)), x)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_projector_idempotent_and_resolution_of_identity(n):
-    rng = random.Random(100 + n)
-    for _ in range(5):
-        x = decomposable(random_family(rng, n, rng.choice((2, 3)), adversarial=True))
-        total = zero_tensor(x.dim, x.order)
-        for lam in enumerate_partitions(n):
-            once = apply_element(x, isotypic_projector(lam))
-            assert tensor_equal(apply_element(once, isotypic_projector(lam)), once)
-            total = tensor_add(total, once)
-        assert tensor_equal(total, x)
 
 
 def test_json_round_trip():
