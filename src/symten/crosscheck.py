@@ -37,12 +37,14 @@ from .group_algebra import isotypic_projector
 from .sampling import random_family, scaled_family
 from .tensor import act, apply_element, decomposable, is_zero, tensor_add, tensor_equal
 
+# Each trial draws its tensor dimension from these.
+_DIMS = (2, 3)
+
 
 def properties(n: int, trials: int, rng: random.Random, max_n: int = DEFAULT_MAX_N):
     """The named properties at degree n as [(name, fn)], all drawing from
     the one rng; each fn returns its number of checks, or None at the
     first failure."""
-    dims = (2, 3)
     partitions = enumerate_partitions(n)
     projectors = {lam: isotypic_projector(lam, max_n) for lam in partitions}
     perms = list(enumerate_permutations(n, max_n))
@@ -50,7 +52,7 @@ def properties(n: int, trials: int, rng: random.Random, max_n: int = DEFAULT_MAX
     def right_action_law() -> int | None:
         checks = 0
         for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
+            fam = random_family(rng, n, rng.choice(_DIMS), adversarial=True)
             x = tensor_add(
                 decomposable(fam),
                 decomposable(random_family(rng, n, fam.dim)),
@@ -64,7 +66,7 @@ def properties(n: int, trials: int, rng: random.Random, max_n: int = DEFAULT_MAX
     def projector_idempotent_and_complete() -> int | None:
         checks = 0
         for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
+            fam = random_family(rng, n, rng.choice(_DIMS), adversarial=True)
             x = decomposable(fam)
             total = None
             for lam in partitions:
@@ -80,7 +82,7 @@ def properties(n: int, trials: int, rng: random.Random, max_n: int = DEFAULT_MAX
     def gamas_matches_oracle() -> int | None:
         checks = 0
         for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
+            fam = random_family(rng, n, rng.choice(_DIMS), adversarial=True)
             x = decomposable(fam)
             for lam in partitions:
                 nonzero, witness = gamas_nonvanishing(fam, lam, max_n)
@@ -96,7 +98,7 @@ def properties(n: int, trials: int, rng: random.Random, max_n: int = DEFAULT_MAX
     def equality_matches_oracle() -> int | None:
         checks = 0
         for trial in range(trials):
-            dim = rng.choice(dims)
+            dim = rng.choice(_DIMS)
             fv = random_family(rng, n, dim, adversarial=True)
             if trial % 3 == 0:
                 fu = random_family(rng, n, dim, adversarial=True)

@@ -89,10 +89,16 @@ def test_canonical_form_drops_zeros():
     assert is_zero(tensor_add(x, tensor_scale(x, -1)))
 
 
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_right_action_law(n, r, monkeypatch):
+    monkeypatch.setattr(crosscheck, "_DIMS", (r,))
+    props = dict(crosscheck.properties(n, 20, random.Random(n * 10 + r)))
+    assert props["right_action_law"]() == 20
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_action_and_projector_properties(n):
+def test_projector_idempotent_and_resolution_of_identity(n):
     props = dict(crosscheck.properties(n, 10, random.Random(100 + n)))
-    assert props["right_action_law"]() == 10
     assert props["projector_idempotent_and_complete"]() == 10 * len(enumerate_partitions(n))
 
 
