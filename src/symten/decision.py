@@ -22,7 +22,7 @@ from .combinatorics import (
     enumerate_column_systems,
     enumerate_standard,
 )
-from .linalg import VectorFamily, is_independent, span_equal, transition_scalar
+from .linalg import VectorFamily, is_independent, transition_scalar
 
 INDEPENDENCE_MISMATCH = "independence_mismatch"
 NO_SPAN_MATCHING = "no_span_matching"
@@ -97,26 +97,23 @@ def gamas_standard(
 def _search_matching(
     fv: VectorFamily, fu: VectorFamily, system: ColumnSystem
 ) -> tuple[Optional[SystemWitness], Optional[SystemFailure]]:
-    """Find a span-compatible column matching with determinant product 1."""
+    """Find a span-compatible column matching with determinant product 1.
+
+    One `transition_scalar` call per same-size column pair gives both.
+    """
     k = len(system)
-    candidates: list[list[int]] = []
-    for j in range(k):
-        targets = [
-            t
-            for t in range(k)
-            if len(system[t]) == len(system[j])
-            and span_equal(fv, system[j], fu, system[t])
-        ]
+    # candidates[j]: span-preserving target column t -> its scalar
+    candidates: list[dict[int, Fraction]] = []
+    for column in system:
+        targets: dict[int, Fraction] = {}
+        for t, target in enumerate(system):
+            if len(target) == len(column):
+                c = transition_scalar(fv, column, fu, target)
+                if c is not None:
+                    targets[t] = c
         if not targets:
             return None, SystemFailure(system, NO_SPAN_MATCHING)
         candidates.append(targets)
-
-    scalar_cache: dict[tuple[int, int], Fraction] = {}
-
-    def scalar(j: int, t: int) -> Fraction:
-        if (j, t) not in scalar_cache:
-            scalar_cache[j, t] = transition_scalar(fv, system[j], fu, system[t])
-        return scalar_cache[j, t]
 
     fallback: Optional[SystemFailure] = None
     used = [False] * k
@@ -125,19 +122,18 @@ def _search_matching(
     def backtrack(j: int, product: Fraction) -> Optional[SystemWitness]:
         nonlocal fallback
         if j == k:
+            scalars = tuple(candidates[i][t] for i, t in enumerate(assignment))
             if product == 1:
                 sigma = tuple(t + 1 for t in assignment)
-                scalars = tuple(scalar(i, assignment[i]) for i in range(k))
                 return SystemWitness(system, sigma, scalars, product)
             if fallback is None:
-                scalars = tuple(scalar(i, assignment[i]) for i in range(k))
                 fallback = SystemFailure(system, PRODUCT_NOT_ONE, scalars, product)
             return None
-        for t in candidates[j]:
+        for t, c in candidates[j].items():
             if not used[t]:
                 used[t] = True
                 assignment[j] = t
-                found = backtrack(j + 1, product * scalar(j, t))
+                found = backtrack(j + 1, product * c)
                 used[t] = False
                 if found is not None:
                     return found

@@ -36,7 +36,7 @@ from .characters import hook_length_dimension, mn_character
 
 
 def _canonical(terms: dict[Perm, Fraction]) -> dict[Perm, Fraction]:
-    return {p: c for p, c in terms.items() if c != 0}
+    return {p: c for p, c in terms.items() if c}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -142,13 +142,7 @@ def span_equal(
     idx_b: Iterable[int],
 ) -> bool:
     """Whether two independent selections span the same subspace."""
-    sel_a = fam_a.select(idx_a)
-    sel_b = fam_b.select(idx_b)
-    if rank(sel_a) != len(sel_a) or rank(sel_b) != len(sel_b):
-        raise ValueError("span comparison requires independent selections")
-    if len(sel_a) != len(sel_b):
-        return False
-    return rank(sel_a + sel_b) == len(sel_a)
+    return transition_scalar(fam_a, idx_a, fam_b, idx_b) is not None
 
 
 def transition_scalar(
@@ -156,28 +150,29 @@ def transition_scalar(
     idx_a: Iterable[int],
     fam_b: VectorFamily,
     idx_b: Iterable[int],
-) -> Fraction:
+) -> Optional[Fraction]:
     """The scalar c with wedge(fam_a at idx_a) = c * wedge(fam_b at idx_b).
 
-    Both selections are read in increasing index order; they must be
-    independent and span the same subspace.
+    Both selections are read in increasing index order.  Returns None when
+    they differ in size or span distinct subspaces; raises ValueError when
+    either selection is dependent or the ambient dimensions differ.
     """
     sel_a = fam_a.select(idx_a)
     sel_b = fam_b.select(idx_b)
+    if fam_a.dim != fam_b.dim:
+        raise ValueError(f"dimension mismatch: {fam_a.dim} != {fam_b.dim}")
     k = len(sel_b)
-    if len(sel_a) != k:
-        raise ValueError("selections of different sizes")
-    if not sel_a:
-        return Fraction(1)
     m, pivots, swap_sign = _echelon(sel_b)
     if len(pivots) < k:
         raise ValueError("span comparison requires independent selections")
-    if rank(sel_b + sel_a) != k:
-        raise ValueError("selections span distinct subspaces")
-    # a lies in span(b), which maps one-to-one onto b's pivot coordinates,
-    # so a's minor there is nonzero exactly when a is independent; and
-    # wedge(a) = c * wedge(b) scales every maximal minor by c
-    minor_a = determinant([[v[c] for c in pivots] for v in sel_a])
-    if minor_a == 0:
+    if len(sel_a) == k and rank(sel_b + sel_a) == k:
+        # a lies in span(b), which maps one-to-one onto b's pivot coordinates,
+        # so a's minor there is nonzero exactly when a is independent; and
+        # wedge(a) = c * wedge(b) scales every maximal minor by c
+        minor_a = determinant([[v[c] for c in pivots] for v in sel_a])
+        if minor_a == 0:
+            raise ValueError("span comparison requires independent selections")
+        return minor_a / _pivot_product(m, pivots, swap_sign)
+    if rank(sel_a) < len(sel_a):
         raise ValueError("span comparison requires independent selections")
-    return minor_a / _pivot_product(m, pivots, swap_sign)
+    return None

@@ -21,7 +21,7 @@ Index = tuple[int, ...]
 
 
 def _canonical(entries: dict[Index, Fraction]) -> dict[Index, Fraction]:
-    return {i: c for i, c in entries.items() if c != 0}
+    return {i: c for i, c in entries.items() if c}
 
 
 @dataclass(frozen=True)

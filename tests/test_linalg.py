@@ -95,6 +95,8 @@ def test_span_equal_examples():
     assert not span_equal(a, {1}, a, {1, 2})
     with pytest.raises(ValueError):
         span_equal(fam(E1, E1), {1, 2}, a, {1, 2})
+    with pytest.raises(ValueError, match="dimension"):
+        span_equal(fam((1, 0)), {1}, fam((1, 0, 5)), {1})
 
 
 def test_transition_scalar_examples():
@@ -103,10 +105,8 @@ def test_transition_scalar_examples():
     b = fam(E2, E1)
     assert transition_scalar(a, {1, 2}, b, {1, 2}) == -1
     assert transition_scalar(fam((2, 0, 0)), {1}, fam(E1), {1}) == 2
-    with pytest.raises(ValueError):
-        transition_scalar(a, {1}, a, {2})
-    with pytest.raises(ValueError):
-        transition_scalar(a, {1}, a, {1, 2})
+    assert transition_scalar(a, {1}, a, {2}) is None
+    assert transition_scalar(a, {1}, a, {1, 2}) is None
 
 
 def test_transition_scalar_rejects_dependent_selections():
@@ -117,8 +117,14 @@ def test_transition_scalar_rejects_dependent_selections():
     with pytest.raises(ValueError, match="independent"):
         transition_scalar(independent, {1, 2}, dependent, {1, 2})
     # independent, with a nonzero minor on b's pivot column, spans distinct
-    with pytest.raises(ValueError, match="distinct"):
-        transition_scalar(fam((1, 1, 0)), {1}, fam(E1), {1})
+    assert transition_scalar(fam((1, 1, 0)), {1}, fam(E1), {1}) is None
+    # a dependent selection raises even when the spans or sizes differ
+    with pytest.raises(ValueError, match="independent"):
+        transition_scalar(fam(E1, E1), {1, 2}, fam(E2, E3), {1, 2})
+    with pytest.raises(ValueError, match="independent"):
+        span_equal(dependent, {1, 2}, independent, {2})
+    with pytest.raises(ValueError, match="independent"):
+        transition_scalar(independent, {1}, dependent, {1, 2})
 
 
 def _random_independent(rng, dim, count):
