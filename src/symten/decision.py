@@ -4,11 +4,13 @@ Instead of iterating all n! fillings of a shape, the deciders iterate
 column systems (multisets of column sets): independence, spans and the
 determinant product only depend on column contents.  Within-column
 reading order is fixed to increasing indices on both sides, so its sign
-contribution cancels; equal-size columns are handled by searching over
-all span-compatible column matchings.
+contribution cancels.  Each decider call computes the `span_key` of each
+column once per family: independence is having a key, span equality is
+key equality, and a greedy column matching within equal keys decides.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +24,7 @@ from .combinatorics import (
     enumerate_column_systems,
     enumerate_standard,
 )
-from .linalg import VectorFamily, is_independent, transition_scalar
+from .linalg import SpanKey, VectorFamily, is_independent, span_key
 
 INDEPENDENCE_MISMATCH = "independence_mismatch"
 NO_SPAN_MATCHING = "no_span_matching"
@@ -64,6 +66,20 @@ def columns_independent(family: VectorFamily, system: ColumnSystem) -> bool:
     return all(is_independent(family, column) for column in system)
 
 
+class _SpanKeys(dict):
+    """Column -> `span_key` for one family, each computed on first use."""
+
+    def __init__(self, family: VectorFamily):
+        self.family = family
+
+    def __missing__(self, column: tuple[int, ...]) -> Optional[SpanKey]:
+        key = self[column] = span_key(self.family, column)
+        return key
+
+    def independent(self, system: ColumnSystem) -> bool:
+        return all(self[column] is not None for column in system)
+
+
 def gamas_nonvanishing(
     family: VectorFamily, lam: Part, max_n: int = DEFAULT_MAX_N
 ) -> tuple[bool, Optional[ColumnSystem]]:
@@ -75,8 +91,9 @@ def gamas_nonvanishing(
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
+    keys = _SpanKeys(family)
     for system in enumerate_column_systems(lam, max_n):
-        if columns_independent(family, system):
+        if keys.independent(system):
             return True, system
     return False, None
 
@@ -88,64 +105,40 @@ def gamas_standard(
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
+    keys = _SpanKeys(family)
     for rows in enumerate_standard(lam):
-        if columns_independent(family, column_system_of(rows)):
+        if keys.independent(column_system_of(rows)):
             return True, rows
     return False, None
 
 
 def _search_matching(
-    fv: VectorFamily, fu: VectorFamily, system: ColumnSystem
+    v_keys: _SpanKeys, u_keys: _SpanKeys, system: ColumnSystem
 ) -> tuple[Optional[SystemWitness], Optional[SystemFailure]]:
-    """Find a span-compatible column matching with determinant product 1.
+    """Find a span-preserving column matching with determinant product 1.
 
-    One `transition_scalar` call per same-size column pair gives both.
+    Span equality is an equivalence relation, so the matchable pairs form
+    one complete bipartite block per span.  Each v-column takes the first
+    free u-column of its span: this gets stuck only if no matching exists,
+    and it is the first matching a search in column order reaches.  Every
+    matching has the product (prod of all d_v) / (prod of all d_u).
     """
-    k = len(system)
-    # candidates[j]: span-preserving target column t -> its scalar
-    candidates: list[dict[int, Fraction]] = []
+    free: dict[tuple, list[int]] = {}
+    for t, column in enumerate(system):
+        free.setdefault(u_keys[column][0], []).append(t)
+    sigma, scalars = [], []
     for column in system:
-        targets: dict[int, Fraction] = {}
-        for t, target in enumerate(system):
-            if len(target) == len(column):
-                c = transition_scalar(fv, column, fu, target)
-                if c is not None:
-                    targets[t] = c
+        basis, d_v = v_keys[column]
+        targets = free.get(basis)
         if not targets:
             return None, SystemFailure(system, NO_SPAN_MATCHING)
-        candidates.append(targets)
-
-    fallback: Optional[SystemFailure] = None
-    used = [False] * k
-    assignment = [0] * k
-
-    def backtrack(j: int, product: Fraction) -> Optional[SystemWitness]:
-        nonlocal fallback
-        if j == k:
-            scalars = tuple(candidates[i][t] for i, t in enumerate(assignment))
-            if product == 1:
-                sigma = tuple(t + 1 for t in assignment)
-                return SystemWitness(system, sigma, scalars, product)
-            if fallback is None:
-                fallback = SystemFailure(system, PRODUCT_NOT_ONE, scalars, product)
-            return None
-        for t, c in candidates[j].items():
-            if not used[t]:
-                used[t] = True
-                assignment[j] = t
-                found = backtrack(j + 1, product * c)
-                used[t] = False
-                if found is not None:
-                    return found
-        return None
-
-    witness = backtrack(0, Fraction(1))
-    if witness is not None:
-        return witness, None
-    if fallback is None:
-        # candidates exist per column but no system of distinct representatives
-        fallback = SystemFailure(system, NO_SPAN_MATCHING)
-    return None, fallback
+        t = targets.pop(0)
+        sigma.append(t + 1)
+        scalars.append(d_v / u_keys[system[t]][1])
+    product = math.prod(scalars, start=Fraction(1))
+    if product != 1:
+        return None, SystemFailure(system, PRODUCT_NOT_ONE, tuple(scalars), product)
+    return SystemWitness(system, tuple(sigma), tuple(scalars), product), None
 
 
 def decide_equality(
@@ -172,9 +165,10 @@ def decide_equality(
     failures: list[SystemFailure] = []
     witnesses: list[SystemWitness] = []
     any_independent = False
+    v_keys, u_keys = _SpanKeys(fv), _SpanKeys(fu)
     for system in enumerate_column_systems(lam, max_n):
-        v_ind = columns_independent(fv, system)
-        u_ind = columns_independent(fu, system)
+        v_ind = v_keys.independent(system)
+        u_ind = u_keys.independent(system)
         if v_ind != u_ind:
             failures.append(SystemFailure(system, INDEPENDENCE_MISMATCH))
             if not exhaustive:
@@ -183,7 +177,7 @@ def decide_equality(
         if not v_ind:
             continue
         any_independent = True
-        witness, failure = _search_matching(fv, fu, system)
+        witness, failure = _search_matching(v_keys, u_keys, system)
         if witness is not None:
             witnesses.append(witness)
         else:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+SpanKey = tuple[tuple[Vector, ...], Fraction]  # see span_key
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,17 @@ def format_rational(q: Fraction) -> str:
 
 def _echelon(
     rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[Fraction]], list[int], int]:
-    """Row-echelon form by rational Gaussian elimination.
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row-echelon form by rational Gauss-Jordan elimination.
 
     Returns the eliminated rows, the pivot column of each of the first
-    len(pivots) rows, and the sign of the row swaps made.  Stops as soon
-    as every row has a pivot.
+    len(pivots) rows, and the minor of the given rows on the pivot
+    columns when every row has a pivot (the swap sign times the pivots
+    before they are scaled to 1).  Stops as soon as every row has a pivot.
     """
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
-    swap_sign = 1
+    minor = Fraction(1)
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     for c in range(n_cols):
@@ -93,24 +95,18 @@ def _echelon(
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            swap_sign = -swap_sign
-        for i in range(r + 1, n_rows):
-            if m[i][c] != 0:
-                factor = m[i][c] / m[r][c]
+            minor = -minor
+        row, scale = m[r], m[r][c]
+        minor *= scale
+        for j in range(c, n_cols):
+            row[j] /= scale
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
                 for j in range(c, n_cols):
-                    m[i][j] -= factor * m[r][j]
+                    m[i][j] -= factor * row[j]
         pivots.append(c)
-    return m, pivots, swap_sign
-
-
-def _pivot_product(
-    m: list[list[Fraction]], pivots: list[int], swap_sign: int
-) -> Fraction:
-    """The minor on the pivot columns of the rows `_echelon` was given."""
-    product = Fraction(swap_sign)
-    for r, c in enumerate(pivots):
-        product *= m[r][c]
-    return product
+    return m, pivots, minor
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -123,16 +119,27 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    m, pivots, swap_sign = _echelon(rows)
-    if len(pivots) < size:
-        return Fraction(0)
-    return _pivot_product(m, pivots, swap_sign)
+    _, pivots, minor = _echelon(rows)
+    return minor if len(pivots) == size else Fraction(0)
 
 
 def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
     """Whether the selected vectors are linearly independent."""
+    return span_key(family, indices) is not None
+
+
+def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
+    """(basis, d) for independent selected vectors; None for dependent ones.
+
+    basis is the reduced row-echelon basis of their span, so it names the
+    span alone; d is their minor on its pivot columns, so two selections
+    with one basis have wedge(a) = (d_a / d_b) * wedge(b).
+    """
     selected = family.select(indices)
-    return rank(selected) == len(selected)
+    m, pivots, minor = _echelon(selected)
+    if len(pivots) < len(selected):
+        return None
+    return tuple(map(tuple, m)), minor
 
 
 def span_equal(
@@ -153,26 +160,16 @@ def transition_scalar(
 ) -> Optional[Fraction]:
     """The scalar c with wedge(fam_a at idx_a) = c * wedge(fam_b at idx_b).
 
-    Both selections are read in increasing index order.  Returns None when
-    they differ in size or span distinct subspaces; raises ValueError when
-    either selection is dependent or the ambient dimensions differ.
+    Returns None when the selections differ in size or span distinct
+    subspaces; raises ValueError when either is dependent or the ambient
+    dimensions differ.
     """
-    sel_a = fam_a.select(idx_a)
-    sel_b = fam_b.select(idx_b)
+    key_a = span_key(fam_a, idx_a)
+    key_b = span_key(fam_b, idx_b)
     if fam_a.dim != fam_b.dim:
         raise ValueError(f"dimension mismatch: {fam_a.dim} != {fam_b.dim}")
-    k = len(sel_b)
-    m, pivots, swap_sign = _echelon(sel_b)
-    if len(pivots) < k:
+    if key_a is None or key_b is None:
         raise ValueError("span comparison requires independent selections")
-    if len(sel_a) == k and rank(sel_b + sel_a) == k:
-        # a lies in span(b), which maps one-to-one onto b's pivot coordinates,
-        # so a's minor there is nonzero exactly when a is independent; and
-        # wedge(a) = c * wedge(b) scales every maximal minor by c
-        minor_a = determinant([[v[c] for c in pivots] for v in sel_a])
-        if minor_a == 0:
-            raise ValueError("span comparison requires independent selections")
-        return minor_a / _pivot_product(m, pivots, swap_sign)
-    if rank(sel_a) < len(sel_a):
-        raise ValueError("span comparison requires independent selections")
-    return None
+    if key_a[0] != key_b[0]:
+        return None
+    return key_a[1] / key_b[1]

@@ -1,21 +1,29 @@
 import dataclasses
+import itertools
+import json
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
-from symten import crosscheck
+from symten import crosscheck, linalg
+from symten.cli import verdict_json
 from symten.combinatorics import compose, enumerate_column_systems, enumerate_partitions
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
+    NO_SPAN_MATCHING,
     PRODUCT_NOT_ONE,
+    EqualityVerdict,
+    SystemFailure,
+    SystemWitness,
     columns_independent,
     decide_equality,
     gamas_nonvanishing,
     gamas_standard,
 )
 from symten.group_algebra import isotypic_projector
-from symten.linalg import VectorFamily
+from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family
 from symten.tensor import is_zero
 
@@ -149,6 +157,148 @@ def test_per_vector_scaling_single_column():
                 assert not verdict_off.equal
             else:
                 assert verdict_off.equal and verdict_off.mode == "both_vanish"
+
+
+def test_matching_on_parallel_columns_is_linear(monkeypatch):
+    # lambda = (9): one column system of nine singleton columns, all of one
+    # span, and no matching of product 1; a search over matchings would
+    # visit all 9! of them
+    eliminations = []
+    echelon = linalg._echelon
+
+    def counted(rows):
+        eliminations.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    fv = fam(*((i, 2 * i) for i in range(1, 10)))
+    fu = fam((2, 4), *((i, 2 * i) for i in range(2, 10)))
+    verdict = decide_equality(fv, fu, (9,), max_n=9)
+    assert not verdict.equal and verdict.witnesses == ()
+    (failure,) = verdict.failures
+    assert failure.reason == PRODUCT_NOT_ONE
+    assert failure.scalars == (F(1, 2),) + (F(1),) * 8
+    assert failure.product == F(1, 2)
+    columns = {column for system in enumerate_column_systems((9,), 9) for column in system}
+    assert len(eliminations) <= 2 * len(columns)
+
+
+def _backtrack_matching(fv, fu, system):
+    """The exhaustive matching search the greedy one replaced, kept as a
+    reference: it backtracks over every span-compatible matching."""
+    k = len(system)
+    candidates: list[dict[int, Fraction]] = []
+    for column in system:
+        targets: dict[int, Fraction] = {}
+        for t, target in enumerate(system):
+            if len(target) == len(column):
+                c = transition_scalar(fv, column, fu, target)
+                if c is not None:
+                    targets[t] = c
+        if not targets:
+            return None, SystemFailure(system, NO_SPAN_MATCHING)
+        candidates.append(targets)
+
+    fallback: Optional[SystemFailure] = None
+    used = [False] * k
+    assignment = [0] * k
+
+    def backtrack(j: int, product: Fraction) -> Optional[SystemWitness]:
+        nonlocal fallback
+        if j == k:
+            scalars = tuple(candidates[i][t] for i, t in enumerate(assignment))
+            if product == 1:
+                sigma = tuple(t + 1 for t in assignment)
+                return SystemWitness(system, sigma, scalars, product)
+            if fallback is None:
+                fallback = SystemFailure(system, PRODUCT_NOT_ONE, scalars, product)
+            return None
+        for t, c in candidates[j].items():
+            if not used[t]:
+                used[t] = True
+                assignment[j] = t
+                found = backtrack(j + 1, product * c)
+                used[t] = False
+                if found is not None:
+                    return found
+        return None
+
+    witness = backtrack(0, Fraction(1))
+    if witness is not None:
+        return witness, None
+    if fallback is None:
+        fallback = SystemFailure(system, NO_SPAN_MATCHING)
+    return None, fallback
+
+
+def _reference_equality(fv, fu, lam, exhaustive):
+    failures, witnesses = [], []
+    any_independent = False
+    for system in enumerate_column_systems(lam):
+        v_ind = columns_independent(fv, system)
+        if v_ind != columns_independent(fu, system):
+            failures.append(SystemFailure(system, INDEPENDENCE_MISMATCH))
+            if not exhaustive:
+                break
+            continue
+        if not v_ind:
+            continue
+        any_independent = True
+        witness, failure = _backtrack_matching(fv, fu, system)
+        if witness is not None:
+            witnesses.append(witness)
+        else:
+            failures.append(failure)
+            if not exhaustive:
+                break
+    if failures:
+        return EqualityVerdict(False, "failed", tuple(failures), tuple(witnesses))
+    if not any_independent:
+        return EqualityVerdict(True, "both_vanish", (), ())
+    return EqualityVerdict(True, "witnessed", (), tuple(witnesses))
+
+
+def _shuffled(rng, family):
+    vectors = list(family.vectors)
+    rng.shuffle(vectors)
+    return VectorFamily(family.dim, tuple(vectors))
+
+
+def _parallel_family(rng, n, dim):
+    """n multiples of two random vectors: few spans, many equal columns."""
+    base = [random_family(rng, 1, dim).vectors[0] for _ in range(2)]
+    return VectorFamily(
+        dim,
+        tuple(
+            tuple(F(rng.choice((1, -1, 2))) * x for x in rng.choice(base))
+            for _ in range(n)
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_greedy_matching_equals_exhaustive_search(n):
+    rng = random.Random(100 + n)
+    pairs = 0
+    for lam in enumerate_partitions(n):
+        dim = rng.choice((2, 3)) if n > 1 else 1
+        fv = random_family(rng, n, dim, adversarial=True)
+        parallel = _parallel_family(rng, n, dim)
+        cases = [
+            (random_family(rng, n, dim), random_family(rng, n, dim)),
+            (fv, random_family(rng, n, dim, adversarial=True)),
+            (fv, scaled_family(rng, fv, unit_product=True)),
+            (fv, scaled_family(rng, fv, unit_product=False)),
+            (fv, _shuffled(rng, scaled_family(rng, fv, unit_product=True))),
+            (parallel, _shuffled(rng, scaled_family(rng, parallel, unit_product=True))),
+            (parallel, _shuffled(rng, scaled_family(rng, parallel, unit_product=False))),
+        ]
+        for case, exhaustive in itertools.product(cases, (False, True)):
+            greedy = decide_equality(*case, lam, exhaustive=exhaustive)
+            reference = _reference_equality(*case, lam, exhaustive)
+            assert json.dumps(verdict_json(greedy)) == json.dumps(verdict_json(reference))
+            pairs += 1
+    assert pairs == 14 * len(enumerate_partitions(n))
 
 
 def _leaky_projector(lam, max_n):

@@ -15,6 +15,7 @@ from symten.linalg import (
     parse_rational,
     rank,
     span_equal,
+    span_key,
     transition_scalar,
 )
 
@@ -166,6 +167,55 @@ def test_transition_scalar_inverse_and_chain():
         ac = transition_scalar(fam_a, idx, fam_a, idx)
         assert ac == 1
         assert ab == transition_scalar(fam_a, idx, fam_b, idx)
+
+
+def test_span_key_examples():
+    a = fam(E1, E2, (1, 1, 0), (2, 0, 0))
+    assert span_key(a, set()) == ((), 1)
+    assert span_key(a, {1, 4}) is None
+    assert span_key(a, {1, 2}) == ((E1, E2), 1)
+    # two different bases of the xy-plane, each read in index order
+    assert span_key(a, {2, 3}) == ((E1, E2), -1)
+    assert span_key(a, {3, 4}) == ((E1, E2), -2)
+    assert span_key(fam((0, 2, 4)), {1}) == (((0, 1, 2),), 2)
+
+
+def test_span_key_names_the_span():
+    rng = random.Random(13)
+    for _ in range(15):
+        base = _random_independent(rng, 3, 2)
+        pool = [*base, *(_random_independent(rng, 3, 1))]
+        vectors = [
+            tuple(rng.choice((-1, 1, 2)) * x for x in rng.choice(pool))
+            if rng.random() < 0.5
+            else tuple(
+                rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
+                for x, y in zip(*base)
+            )
+            for _ in range(4)
+        ]
+        family = VectorFamily(3, tuple(vectors))
+        subsets = [
+            s for size in range(4) for s in itertools.combinations(range(1, 5), size)
+        ]
+        keys = {s: span_key(family, s) for s in subsets}
+        for s, key in keys.items():
+            assert (key is None) == (rank(family.select(s)) < len(s))
+        independent = [s for s in subsets if keys[s] is not None]
+        for a in independent:
+            for b in independent:
+                union = family.select(a) + family.select(b)
+                same = rank(union) == len(a) == len(b)
+                assert (keys[a][0] == keys[b][0]) == same
+                if not same:
+                    continue
+                pivots = [row.index(1) for row in keys[b][0]]
+                minor_a, minor_b = (
+                    determinant([[v[c] for c in pivots] for v in family.select(s)])
+                    for s in (a, b)
+                )
+                assert keys[a][1] / keys[b][1] == minor_a / minor_b
+                assert transition_scalar(family, a, family, b) == minor_a / minor_b
 
 
 def test_independence_matches_nonzero_minor():
