@@ -13,6 +13,7 @@ raises fails) or disagreeing Gamas deciders, 2 input or output error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -222,7 +223,9 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK if ok else EXIT_SELFCHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symten",
         description="Symmetrized decomposable tensors over the rationals: "
@@ -244,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamas", help="decide vanishing of the symmetrized tensor")
     add_common(p, True)
-    p.set_defaults(func=cmd_gamas)
 
     p = sub.add_parser("equal", help="decide equality of two symmetrized tensors")
     add_common(p, True)
@@ -253,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect all failing systems instead of stopping at the first",
     )
-    p.set_defaults(func=cmd_equal)
 
     p = sub.add_parser("symmetrize", help="compute the symmetrized tensor")
     add_common(p, True)
@@ -262,30 +263,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit dimensions and entry count without the entries",
     )
-    p.set_defaults(func=cmd_symmetrize)
 
     p = sub.add_parser("characters", help="emit the character table of S_n")
     add_common(p, False)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_characters)
 
     p = sub.add_parser("selfcheck", help="run randomized cross-validation suites")
     add_common(p, False)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selfcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.max_n < 0:
             raise InputError("--max-n must be at least 0")
-        return args.func(args)
+        # looked up by name on each call, so a rebound cmd_ function takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

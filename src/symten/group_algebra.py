@@ -11,6 +11,7 @@ element x * y.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,26 +129,39 @@ def young_symmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
     )
 
 
+@functools.cache
+def _class_indices(n: int) -> bytes:
+    """Each permutation's position of its cycle type in enumerate_partitions(n).
+
+    One byte per permutation, in enumerate_permutations order (n! bytes);
+    every n <= 16 has at most 231 partitions.  Built once per degree.
+    """
+    position = {ct: i for i, ct in enumerate(enumerate_partitions(n))}
+    return bytes(position[cycle_type(p)] for p in enumerate_permutations(n, n))
+
+
 def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
     """The central idempotent projecting onto the isotypic component of lam.
 
     Coefficient of sigma is dim/n! times the character value on sigma's
     class; the weight is computed once per cycle type and shared by the
-    class, and classes where the character vanishes are left out.
+    class, and classes where the character vanishes are left out.  Each
+    permutation's class is read from a table of n! bytes built by the
+    first projector of each degree in a process, so that first build
+    costs what computing every cycle type costs and later ones skip it.
     """
     lam = tuple(lam)
     n = sum(lam)
     check_limit(n, max_n)
     scale = Fraction(hook_length_dimension(lam), math.factorial(n))
-    weights = {
-        ct: scale * chi
+    weights = [
+        scale * chi if (chi := mn_character(lam, ct)) else None
         for ct in enumerate_partitions(n)
-        if (chi := mn_character(lam, ct))
-    }
+    ]
     terms = {
         p: weight
-        for p in enumerate_permutations(n, max_n)
-        if (weight := weights.get(cycle_type(p))) is not None
+        for p, k in zip(enumerate_permutations(n, max_n), _class_indices(n))
+        if (weight := weights[k]) is not None
     }
     return GroupAlgebraElement(n, terms)
 

@@ -80,8 +80,9 @@ def _echelon(
     len(pivots) rows, and the minor of the given rows on the pivot
     columns when every row has a pivot (the swap sign times the pivots
     before they are scaled to 1).  Stops as soon as every row has a pivot.
+    Entries must already be Fractions; the rows are copied, not converted.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pivots: list[int] = []
     minor = Fraction(1)
     n_rows = len(m)
@@ -109,17 +110,21 @@ def _echelon(
     return m, pivots, minor
 
 
+def _fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by rational Gaussian elimination."""
-    return len(_echelon(rows)[1])
+    """Exact rank by rational Gaussian elimination; entries may be ints."""
+    return len(_echelon(_fractions(rows))[1])
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix; entries may be ints."""
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, minor = _echelon(rows)
+    _, pivots, minor = _echelon(_fractions(rows))
     return minor if len(pivots) == size else Fraction(0)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symten import cli, crosscheck
+from symten import characters, cli, crosscheck, group_algebra
 from symten.tensor import from_json_obj, tensor_equal
 
 DATA = Path(__file__).parent / "data"
@@ -59,6 +60,45 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     code = cli.main([*args, "--output", str(out_path)])
     assert code == 0
     assert out_path.read_text() == first
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    help_text = cli.build_parser().format_help()
+    args = ("equal", "--input", str(DATA / "equal_scaling.json"))
+    _, first = run(capsys, *args)
+    _, second = run(capsys, *args)
+    assert first.encode() == second.encode()
+    assert parsers == [cli.build_parser()] * 2
+    assert cli.build_parser().format_help() == help_text
+
+
+def test_golden_commands_repeat_in_process(capsys):
+    commands = [
+        ((command, "--input", str(DATA / f"{name}.json")), name)
+        for command, name in GOLDEN_CASES
+    ]
+    commands.append((("characters", "--n", "4"), "characters_n4"))
+    commands.append(
+        (("selfcheck", "--n", "3", "--trials", "5", "--seed", "2"), "selfcheck_n3")
+    )
+    assert {name for _, name in commands} == {p.stem for p in GOLDEN.glob("*.json")}
+    # the first round starts cold, the second hits every per-process cache
+    cli.build_parser.cache_clear()
+    group_algebra._class_indices.cache_clear()
+    characters.mn_character.cache_clear()
+    for _ in range(2):
+        for argv, name in commands:
+            code, out = run(capsys, *argv)
+            assert code == 0, name
+            assert out == (GOLDEN / f"{name}.json").read_text(), name
 
 
 def test_symmetrize_round_trip(capsys):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from symten import combinatorics, group_algebra
 from symten.characters import hook_length_dimension, mn_character
 from symten.combinatorics import (
+    cycle_type,
     cycles,
     enumerate_fillings,
     enumerate_partitions,
@@ -13,6 +15,7 @@ from symten.combinatorics import (
 )
 from symten.group_algebra import (
     GroupAlgebraElement,
+    _class_indices,
     basis_element,
     column_antisymmetrizer,
     ga_multiply,
@@ -116,6 +119,34 @@ def test_isotypic_projector_matches_per_permutation_formula(n):
         assert terms == expected
         # one shared weight per class, not one Fraction per permutation
         assert len({id(w) for w in terms.values()}) <= len(partitions)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_indices_follow_permutation_order(n):
+    partitions = enumerate_partitions(n)
+    table = _class_indices(n)
+    perms = list(enumerate_permutations(n))
+    assert len(table) == len(perms)
+    for p, k in zip(perms, table):
+        assert k == partitions.index(cycle_type(p))
+
+
+def test_projectors_of_one_degree_share_one_class_table(monkeypatch):
+    calls = 0
+
+    def counted(sigma):
+        nonlocal calls
+        calls += 1
+        return cycle_type(sigma)
+
+    monkeypatch.setattr(combinatorics, "cycle_type", counted)
+    monkeypatch.setattr(group_algebra, "cycle_type", counted)
+    _class_indices.cache_clear()
+    isotypic_projector((4, 2, 2), max_n=8)
+    first = calls
+    isotypic_projector((5, 3), max_n=8)
+    assert first <= math.factorial(8)
+    assert calls == first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -48,6 +48,18 @@ def test_determinant_examples():
         determinant([[F(1), F(2)]])
 
 
+def test_rank_and_determinant_of_int_matrices_are_exact():
+    ints = [[2, 1, 1], [1, 3, 2], [1, 0, 0]]
+    mixed = [[F(1, 2), 3], [1, F(1, 3)]]
+    singular = [[1, 2, 3], [2, 4, 6], [3, 1, 1]]
+    assert rank(ints) == 3 and rank(mixed) == 2 and rank(singular) == 2
+    for rows, expected in ((ints, F(-1)), (mixed, F(-17, 6)), (singular, F(0)),
+                           ([[3, 1], [1, 3]], F(8))):
+        det = determinant(rows)
+        assert type(det) is Fraction
+        assert det == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_determinant_matches_cofactor_expansion(rows):
