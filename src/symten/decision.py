@@ -5,8 +5,10 @@ column systems (multisets of column sets): independence, spans and the
 determinant product only depend on column contents.  Within-column
 reading order is fixed to increasing indices on both sides, so its sign
 contribution cancels.  Each decider call computes the `span_key` of each
-column once per family: independence is having a key, span equality is
-key equality, and a greedy column matching within equal keys decides.
+column once per family, by one fraction-free integer elimination:
+independence is having a key, span equality is equality of the keys'
+primitive integer bases, and a greedy column matching within equal keys
+decides, with the keys' rational minors as its scalars.
 """
 from __future__ import annotations
 

@@ -1,47 +1,62 @@
 """Exact rational vectors and matrices.
 
-Everything here is one Gaussian elimination over `fractions.Fraction`;
-no floating point exists anywhere in the package, so every result is
-bit-reproducible.  Selections of vectors are always read in increasing
-index order; the equality decider relies on that single convention for
-sign consistency of wedge products.
+Everything here is one fraction-free elimination, `_echelon`, on
+integers: each rational row is scaled by the lcm of its denominators
+first, and only the resulting minor is a `fractions.Fraction`.  Entries
+are ints or Fractions and no floating point exists anywhere in the
+package, so every result is exact and bit-reproducible.  Selections of
+vectors are always read in increasing index order; the equality decider
+relies on that single convention for sign consistency of wedge products.
 """
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
-SpanKey = tuple[tuple[Vector, ...], Fraction]  # see span_key
+SpanKey = tuple[tuple[tuple[int, ...], ...], Fraction]  # see span_key
 
 
 @dataclass(frozen=True)
 class VectorFamily:
-    """An ordered family of n vectors in an ambient space of dimension dim."""
+    """An ordered family of n vectors in an ambient space of dimension dim.
+
+    Entries are non-bool ints or Fractions, stored as given; anything
+    else raises TypeError.
+    """
 
     dim: int
     vectors: tuple[Vector, ...]
+    # each vector as `_scaled` gives it, for `span_key`
+    _scaled_rows: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in self.vectors)
+        vecs = _exact(tuple(map(tuple, self.vectors)))
         for v in vecs:
             if len(v) != self.dim:
                 raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
         object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "_scaled_rows", tuple(map(_scaled, vecs)))
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def select(self, indices: Iterable[int]) -> list[Vector]:
-        """Vectors at the given 1-based indices, in increasing index order."""
-        out = []
-        for i in sorted(indices):
+    def _positions(self, indices: Iterable[int]) -> list[int]:
+        """0-based positions of the 1-based indices, in increasing order."""
+        out = sorted(indices)
+        for i in out:
             if not 1 <= i <= len(self.vectors):
                 raise IndexError(f"index {i} out of range 1..{len(self.vectors)}")
-            out.append(self.vectors[i - 1])
-        return out
+        return [i - 1 for i in out]
+
+    def select(self, indices: Iterable[int]) -> list[Vector]:
+        """Vectors at the given 1-based indices, in increasing index order."""
+        return [self.vectors[i] for i in self._positions(indices)]
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -71,61 +86,78 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _scaled(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The row times the lcm of its entries' denominators, and that lcm."""
+    lcm = math.lcm(*[x.denominator for x in row])
+    return tuple([x.numerator * (lcm // x.denominator) for x in row]), lcm
+
+
 def _echelon(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row-echelon form by rational Gauss-Jordan elimination.
+    rows: Sequence[tuple[Sequence[int], int]],
+) -> tuple[list[list[int]], list[int], Fraction]:
+    """Fraction-free Gauss-Jordan elimination on integer-scaled rows.
+
+    rows are (integer row, scale) pairs as `_scaled` makes them, standing
+    for the rational rows integer row / scale.  The integer rows are
+    eliminated by Bareiss' rule (Math. Comp. 22, 1968), applied to the rows
+    above each pivot as well as below:
+    row <- (pivot * row - factor * pivot_row) // previous pivot, a division
+    that is exact by Sylvester's identity.  Zero columns are skipped; the
+    loop stops as soon as every row has a pivot.
 
     Returns the eliminated rows, the pivot column of each of the first
-    len(pivots) rows, and the minor of the given rows on the pivot
-    columns when every row has a pivot (the swap sign times the pivots
-    before they are scaled to 1).  Stops as soon as every row has a pivot.
-    Entries must already be Fractions; the rows are copied, not converted.
+    len(pivots) rows, and the minor of the rational rows on the pivot
+    columns (0 when some row has no pivot): the last pivot, signed by the
+    row swaps, over the product of the scales.  The first len(pivots)
+    rows are that integer pivot times the reduced row-echelon rows.
     """
-    m = [list(row) for row in rows]
+    m = [list(row) for row, _ in rows]
     pivots: list[int] = []
-    minor = Fraction(1)
+    pivot, sign = 1, 1
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     for c in range(n_cols):
         r = len(pivots)
         if r == n_rows:
             break
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
+        p = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if p is None:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            minor = -minor
-        row, scale = m[r], m[r][c]
-        minor *= scale
-        for j in range(c, n_cols):
-            row[j] /= scale
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                for j in range(c, n_cols):
-                    m[i][j] -= factor * row[j]
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        prev, piv = pivot, m[r]
+        pivot = piv[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, piv)]
         pivots.append(c)
-    return m, pivots, minor
+    if len(pivots) < n_rows:
+        return m, pivots, Fraction(0)
+    return m, pivots, Fraction(sign * pivot, math.prod(scale for _, scale in rows))
 
 
-def _fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _exact(rows: Sequence[Sequence]) -> Sequence[Sequence]:
+    """The rows themselves, if every entry is a non-bool int or a Fraction."""
+    for row in rows:
+        for x in row:
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                raise TypeError(f"not an int or a Fraction: {x!r:.40}")
+    return rows
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by rational Gaussian elimination; entries may be ints."""
-    return len(_echelon(_fractions(rows))[1])
+    """Exact rank; entries are non-bool ints or Fractions, else TypeError."""
+    return len(_echelon([_scaled(row) for row in _exact(rows)])[1])
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix; entries may be ints."""
+    """Exact determinant of a square matrix; entries as for `rank`."""
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, minor = _echelon(_fractions(rows))
-    return minor if len(pivots) == size else Fraction(0)
+    return _echelon([_scaled(row) for row in _exact(rows)])[2]
 
 
 def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
@@ -136,15 +168,25 @@ def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
 def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
     """(basis, d) for independent selected vectors; None for dependent ones.
 
-    basis is the reduced row-echelon basis of their span, so it names the
-    span alone; d is their minor on its pivot columns, so two selections
-    with one basis have wedge(a) = (d_a / d_b) * wedge(b).
+    basis holds the reduced row-echelon basis of their span, each row
+    scaled to coprime integers with a positive pivot; that renaming is one
+    to one, so basis names the span alone.  d is their minor on its pivot
+    columns, so two selections with one basis have
+    wedge(a) = (d_a / d_b) * wedge(b).
     """
-    selected = family.select(indices)
-    m, pivots, minor = _echelon(selected)
-    if len(pivots) < len(selected):
+    positions = family._positions(indices)
+    if len(positions) > family.dim:
         return None
-    return tuple(map(tuple, m)), minor
+    m, pivots, minor = _echelon([family._scaled_rows[i] for i in positions])
+    if len(pivots) < len(m):
+        return None
+    basis = []
+    for row, c in zip(m, pivots):
+        g = math.gcd(*row)
+        if row[c] < 0:
+            g = -g
+        basis.append(tuple([x // g for x in row]))
+    return tuple(basis), minor
 
 
 def span_equal(

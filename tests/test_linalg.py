@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -221,13 +222,115 @@ def test_span_key_names_the_span():
                 assert (keys[a][0] == keys[b][0]) == same
                 if not same:
                     continue
-                pivots = [row.index(1) for row in keys[b][0]]
+                pivots = [next(c for c, x in enumerate(row) if x) for row in keys[b][0]]
                 minor_a, minor_b = (
                     determinant([[v[c] for c in pivots] for v in family.select(s)])
                     for s in (a, b)
                 )
                 assert keys[a][1] / keys[b][1] == minor_a / minor_b
                 assert transition_scalar(family, a, family, b) == minor_a / minor_b
+
+
+def _reference_echelon(rows):
+    """Plain rational Gauss-Jordan: reduced rows with pivots, pivot columns, minor."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots, minor = [], F(1)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            minor = -minor
+        minor *= m[r][c]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[: len(pivots)]], pivots, minor
+
+
+@st.composite
+def matrices(draw):
+    """k rows in dimension dim: zero columns, row swaps, dependent rows,
+    int and Fraction entries with numerators up to 10**6, k = 0 and k > dim."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(0, dim + 2))
+    big = st.integers(-10**6, 10**6)
+    entry = st.one_of(
+        big, st.builds(F, big, st.integers(1, 97)), st.sampled_from((0, 0, 1, -1, F(1, 2)))
+    )
+    zero_cols = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    rows = [[0 if c in zero_cols else draw(entry) for c in range(dim)] for _ in range(k)]
+    for i in range(1, k):
+        kind = draw(st.sampled_from(("free", "multiple", "combination")))
+        if kind == "multiple":
+            scale = draw(st.sampled_from((-1, 3, F(-2, 7), F(10**6, 3))))
+            rows[i] = [scale * x for x in rows[draw(st.integers(0, i - 1))]]
+        elif kind == "combination":
+            coeffs = [draw(st.sampled_from((0, 1, -2, F(1, 3)))) for _ in range(i)]
+            rows[i] = [sum(a * row[c] for a, row in zip(coeffs, rows)) for c in range(dim)]
+    if k and draw(st.booleans()):  # the first row has no pivot where a later one does
+        lead = next((c for c in range(dim) if any(row[c] for row in rows)), None)
+        if lead is not None:
+            rows[0][lead] = 0
+    return dim, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_integer_elimination_matches_rational_reference(case):
+    dim, rows = case
+    reference = _reference_echelon(rows)
+    assert rank(rows) == len(reference[1])
+    if len(rows) == dim:
+        assert determinant(rows) == (reference[2] if len(reference[1]) == dim else 0)
+    family = VectorFamily(dim, tuple(map(tuple, rows)))
+    subsets = [
+        s for size in range(len(rows) + 1)
+        for s in itertools.combinations(range(1, len(rows) + 1), size)
+    ]
+    by_key, by_reference = {}, {}
+    for s in subsets:
+        basis, pivots, minor = _reference_echelon(family.select(s))
+        key = span_key(family, s)
+        assert (key is None) == (len(pivots) < len(s))
+        if key is None:
+            continue
+        assert key[1] == minor and type(key[1]) is Fraction
+        assert len(key[0]) == len(basis)
+        for row, c, reduced in zip(key[0], pivots, basis):
+            assert all(type(x) is int for x in row)
+            assert math.gcd(*row) == 1
+            assert next(x for x in row if x) == row[c] > 0
+            assert tuple(F(x, row[c]) for x in row) == reduced
+        by_key.setdefault(key[0], set()).add(s)
+        by_reference.setdefault(tuple(basis), set()).add(s)
+    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_reference.values()))
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, 1.0, True, False, "1", "1e3", None],
+    ids=lambda value: repr(value),
+)
+def test_inexact_entries_are_refused(value):
+    with pytest.raises(TypeError):
+        VectorFamily(2, ((1, value),))
+    with pytest.raises(TypeError):
+        rank([[1, value]])
+    with pytest.raises(TypeError):
+        determinant([[value]])
+
+
+def test_vector_family_keeps_entries():
+    q = F(2, 3)
+    family = VectorFamily(2, [[q, 5]])
+    assert family.vectors == ((q, 5),)
+    assert family.vectors[0][0] is q
+    assert family == VectorFamily(2, ((F(2, 3), F(5)),))
+    assert "_scaled_rows" not in repr(family)
 
 
 def test_independence_matches_nonzero_minor():

@@ -90,9 +90,8 @@ def test_canonical_form_drops_zeros():
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 3)])
-def test_right_action_law(n, r, monkeypatch):
-    monkeypatch.setattr(crosscheck, "_DIMS", (r,))
-    props = dict(crosscheck.properties(n, 20, random.Random(n * 10 + r)))
+def test_right_action_law(n, r):
+    props = dict(crosscheck.properties(n, 20, random.Random(n * 10 + r), dims=(r,)))
     assert props["right_action_law"]() == 20
 
 
