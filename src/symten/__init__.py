@@ -32,6 +32,8 @@ from .combinatorics import (
     enumerate_standard,
     identity,
     inverse,
+    iter_column_systems,
+    iter_standard,
     sign,
 )
 from .decision import (

@@ -14,12 +14,14 @@ Conventions fixed here, once:
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 Part = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
 ColumnSystem = tuple[tuple[int, ...], ...]
+#: A column predicate: the increasing entries of a column, or of its top part.
+Keep = Callable[[tuple[int, ...]], bool]
 
 #: Factorial enumerations refuse to run above this degree unless overridden.
 DEFAULT_MAX_N = 8
@@ -162,26 +164,41 @@ def enumerate_fillings(lam: Part, max_n: int = DEFAULT_MAX_N) -> Iterator[Rows]:
         yield _rows_from_flat(lam, flat)
 
 
-def enumerate_standard(lam: Part) -> list[Rows]:
-    """All standard tableaux of shape lam (rows and columns increase)."""
-    n = sum(lam)
-    result: list[Rows] = []
-    filled = [0] * len(lam)
-    grid = [[0] * part for part in lam]
+def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
+    """Standard tableaux of shape lam (rows and columns increase), lazily.
 
-    def place(value: int) -> None:
+    Values 1..n are placed in increasing order, each in turn at the end of
+    every row that can take it, topmost first, so each column grows
+    downwards in increasing order.  With `keep`, every placement tests the
+    column's top part so far and the branch is cut when it fails: for a
+    down-closed `keep` (a subset of a kept column is kept) this yields, in
+    the same order, exactly the tableaux whose every column passes.
+    """
+    n = sum(lam)
+    filled = [0] * len(lam)
+    cols: list[tuple[int, ...]] = [()] * (lam[0] if lam else 0)
+
+    def place(value: int) -> Iterator[Rows]:
         if value > n:
-            result.append(tuple(tuple(row) for row in grid))
+            yield tuple(tuple(col[i] for col in cols[:part]) for i, part in enumerate(lam))
             return
         for i in range(len(lam)):
-            if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i]):
-                grid[i][filled[i]] = value
-                filled[i] += 1
-                place(value + 1)
-                filled[i] -= 1
+            j = filled[i]
+            if j < lam[i] and (i == 0 or filled[i - 1] > j):
+                top = cols[j] + (value,)
+                if keep is None or keep(top):
+                    cols[j] = top
+                    filled[i] += 1
+                    yield from place(value + 1)
+                    filled[i] -= 1
+                    cols[j] = top[:-1]
 
-    place(1)
-    return result
+    return place(1)
+
+
+def enumerate_standard(lam: Part) -> list[Rows]:
+    """All standard tableaux of shape lam, in the order of `iter_standard`."""
+    return list(iter_standard(lam))
 
 
 def column_superstandard(lam: Part) -> Rows:
@@ -215,30 +232,53 @@ def column_system_of(rows: Rows) -> ColumnSystem:
     return canonical_system(tableau_columns(rows))
 
 
-def enumerate_column_systems(lam: Part, max_n: int = DEFAULT_MAX_N) -> list[ColumnSystem]:
+def iter_column_systems(
+    lam: Part, max_n: int = DEFAULT_MAX_N, keep: Optional[Keep] = None
+) -> Iterator[ColumnSystem]:
     """Every multiset of column sets arising from a filling of lam, once each.
 
-    Columns of equal size are generated in increasing lexicographic order,
-    which dedupes their permutations; output is already canonical.
+    A depth-first search builds each system canonically, column by
+    column: equal-size columns are disjoint, so they come in increasing
+    order of their least entry, and a column's least entry leaves below
+    it only as many unused entries as the smaller columns after its run
+    can take.  Every branch thus completes, and systems come out in
+    lexicographic order.  With `keep`, a column that fails it cuts its
+    branch: this yields, in the same order, exactly the systems whose
+    every column passes.
     """
     n = sum(lam)
     check_limit(n, max_n)
     sizes = conjugate(lam)
-    result: list[ColumnSystem] = []
+    if not sizes:
+        return iter([()])
+    last = len(sizes) - 1
+    # room[j]: how many entries the columns smaller than column j can take
+    room = [sum(s for s in sizes if s < size) for size in sizes]
+    acc: list[tuple[int, ...]] = []
 
-    def rec(remaining: frozenset[int], j: int, acc: list[tuple[int, ...]]) -> None:
-        if j == len(sizes):
-            result.append(tuple(acc))
+    def rec(remaining: tuple[int, ...], j: int) -> Iterator[ColumnSystem]:
+        if j == last:  # the last column is whatever is left
+            if keep is None or keep(remaining):
+                yield (*acc, remaining)
             return
-        for comb in itertools.combinations(sorted(remaining), sizes[j]):
-            if j > 0 and sizes[j - 1] == sizes[j] and comb <= acc[-1]:
+        above = acc[-1][0] if j > 0 and sizes[j - 1] == sizes[j] else 0
+        for i in range(room[j] + 1):
+            lead = remaining[i]
+            if lead <= above:
                 continue
-            acc.append(comb)
-            rec(remaining - set(comb), j + 1, acc)
-            acc.pop()
+            for rest in itertools.combinations(remaining[i + 1:], sizes[j] - 1):
+                column = (lead, *rest)
+                if keep is None or keep(column):
+                    acc.append(column)
+                    yield from rec(tuple([x for x in remaining if x not in column]), j + 1)
+                    acc.pop()
 
-    rec(frozenset(range(1, n + 1)), 0, [])
-    return result
+    return rec(tuple(range(1, n + 1)), 0)
+
+
+def enumerate_column_systems(lam: Part, max_n: int = DEFAULT_MAX_N) -> list[ColumnSystem]:
+    """All column systems of lam, canonical, in the order of `iter_column_systems`."""
+    return list(iter_column_systems(lam, max_n))
 
 
 def _setwise_stabilizer(blocks: list[tuple[int, ...]], n: int) -> list[Perm]:

@@ -1,10 +1,13 @@
 """Combinatorial deciders for vanishing and equality of symmetrized tensors.
 
-Instead of iterating all n! fillings of a shape, the deciders iterate
+Instead of iterating all n! fillings of a shape, the deciders search
 column systems (multisets of column sets): independence, spans and the
 determinant product only depend on column contents.  Within-column
 reading order is fixed to increasing indices on both sides, so its sign
-contribution cancels.  Each decider call computes the `span_key` of each
+contribution cancels.  The search builds systems (or standard tableaux)
+column by column and cuts every branch at a column that cannot occur in
+a system the decider would use: a dependent one for Gamas, one dependent
+on both sides for equality.  Each decider call computes the `span_key` of each
 column once per family, by one fraction-free integer elimination:
 independence is having a key, span equality is equality of the keys'
 primitive integer bases, and a greedy column matching within equal keys
@@ -22,9 +25,9 @@ from .combinatorics import (
     ColumnSystem,
     Part,
     Rows,
-    column_system_of,
-    enumerate_column_systems,
-    enumerate_standard,
+    check_limit,
+    iter_column_systems,
+    iter_standard,
 )
 from .linalg import SpanKey, VectorFamily, is_independent, span_key
 
@@ -78,6 +81,9 @@ class _SpanKeys(dict):
         key = self[column] = span_key(self.family, column)
         return key
 
+    def has_key(self, column: tuple[int, ...]) -> bool:
+        return self[column] is not None
+
     def independent(self, system: ColumnSystem) -> bool:
         return all(self[column] is not None for column in system)
 
@@ -93,11 +99,8 @@ def gamas_nonvanishing(
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
-    keys = _SpanKeys(family)
-    for system in enumerate_column_systems(lam, max_n):
-        if keys.independent(system):
-            return True, system
-    return False, None
+    system = next(iter_column_systems(lam, max_n, _SpanKeys(family).has_key), None)
+    return system is not None, system
 
 
 def gamas_standard(
@@ -107,11 +110,9 @@ def gamas_standard(
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
-    keys = _SpanKeys(family)
-    for rows in enumerate_standard(lam):
-        if keys.independent(column_system_of(rows)):
-            return True, rows
-    return False, None
+    check_limit(sum(lam), max_n)
+    rows = next(iter_standard(lam, _SpanKeys(family).has_key), None)
+    return rows is not None, rows
 
 
 def _search_matching(
@@ -168,7 +169,12 @@ def decide_equality(
     witnesses: list[SystemWitness] = []
     any_independent = False
     v_keys, u_keys = _SpanKeys(fv), _SpanKeys(fu)
-    for system in enumerate_column_systems(lam, max_n):
+
+    def keep(column: tuple[int, ...]) -> bool:
+        # a column dependent on both sides only leads to skipped systems
+        return v_keys.has_key(column) or u_keys.has_key(column)
+
+    for system in iter_column_systems(lam, max_n, keep):
         v_ind = v_keys.independent(system)
         u_ind = u_keys.independent(system)
         if v_ind != u_ind:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symten.combinatorics import (
     SizeLimitError,
@@ -21,6 +23,8 @@ from symten.combinatorics import (
     identity,
     inverse,
     is_filling,
+    iter_column_systems,
+    iter_standard,
     row_group,
     sign,
     tableau_columns,
@@ -186,6 +190,49 @@ def test_column_systems_match_dedup_of_fillings(n):
         assert len(systems) == _system_count(lam)
         from_fillings = {column_system_of(f) for f in enumerate_fillings(lam)}
         assert set(systems) == from_fillings
+
+
+PRUNING_SHAPES = [()] + [
+    lam for n in range(1, 8) for lam in enumerate_partitions(n)
+] + [(3, 3, 1, 1), (2, 2, 2, 2)]
+
+
+def _row_word(rows):
+    """The row of each value 1..n: standard tableaux come in its lex order."""
+    word = [0] * sum(map(len, rows))
+    for i, row in enumerate(rows):
+        for x in row:
+            word[x - 1] = i
+    return word
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pruned_search_keeps_order(data):
+    lam = data.draw(st.sampled_from(PRUNING_SHAPES))
+    entries = st.integers(1, max(sum(lam), 2))
+    # down-closed: no column holds a "zero" entry or two entries of one
+    # forbidden set, so a failing column fails inside every larger column
+    zeros = data.draw(st.frozensets(entries, max_size=2))
+    forbidden = data.draw(st.lists(st.frozensets(entries, min_size=2), max_size=3))
+
+    def keep(column):
+        assert list(column) == sorted(column)
+        return not zeros & set(column) and all(len(f & set(column)) < 2 for f in forbidden)
+
+    systems = enumerate_column_systems(lam)
+    assert list(iter_column_systems(lam)) == systems
+    assert systems == sorted(systems)
+    assert list(iter_column_systems(lam, keep=keep)) == [
+        s for s in systems if all(map(keep, s))
+    ]
+    tableaux = enumerate_standard(lam)
+    assert list(iter_standard(lam)) == tableaux
+    words = [_row_word(t) for t in tableaux]
+    assert words == sorted(words) and len(set(map(tuple, words))) == len(words)
+    assert list(iter_standard(lam, keep)) == [
+        t for t in tableaux if all(map(keep, tableau_columns(t)))
+    ]
 
 
 def test_row_and_col_group_sizes():

@@ -1,15 +1,21 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 
-from symten import crosscheck, linalg
+from symten import crosscheck, decision, linalg
 from symten.cli import verdict_json
-from symten.combinatorics import compose, enumerate_column_systems, enumerate_partitions
+from symten.combinatorics import (
+    SizeLimitError,
+    compose,
+    enumerate_column_systems,
+    enumerate_partitions,
+)
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
     NO_SPAN_MATCHING,
@@ -68,6 +74,38 @@ def test_gamas_standard_examples():
     assert nonzero
     assert tableau == ((1, 2), (3,))  # its first column {1,3} is independent
     assert gamas_standard(fam(E1, E1, E1), (2, 1)) == (False, None)
+
+
+@pytest.mark.parametrize("decider", [gamas_nonvanishing, gamas_standard])
+def test_gamas_deciders_honour_max_n(decider):
+    nine = VectorFamily(1, ((F(1),),) * 9)
+    with pytest.raises(SizeLimitError):
+        decider(nine, (9,))
+    assert decider(nine, (9,), max_n=9)[0]
+
+
+class _CountingKeys(decision._SpanKeys):
+    lookups = 0
+
+    def __getitem__(self, column):
+        type(self).lookups += 1
+        return super().__getitem__(column)
+
+
+@pytest.mark.parametrize("decider,bound", [
+    # one per 4-subset at most; testing every system looks up 15,400 times
+    (gamas_nonvanishing, math.comb(12, 4)),
+    # fewer than one per standard tableau, of which there are 462
+    (gamas_standard, 461),
+])
+def test_gamas_search_prunes_dependent_columns(monkeypatch, decider, bound):
+    """Every 4-vector column of a 3-dimensional family is dependent, so
+    the search cuts each branch at its first full column."""
+    monkeypatch.setattr(decision, "_SpanKeys", _CountingKeys)
+    monkeypatch.setattr(_CountingKeys, "lookups", 0)
+    family = random_family(random.Random(9), 12, 3)
+    assert decider(family, (3, 3, 3, 3), max_n=12) == (False, None)
+    assert _CountingKeys.lookups <= bound
 
 
 def test_gamas_size_mismatch():
