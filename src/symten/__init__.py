@@ -65,5 +65,6 @@ from .tensor import (
     apply_element,
     decomposable,
     is_zero,
+    isotypic_components,
     tensor_equal,
 )

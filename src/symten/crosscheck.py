@@ -5,15 +5,24 @@ zero and parallel vectors among them), compares two independent
 computations and returns its number of checks, or None at the first
 disagreement; None rather than an assert, which `python -O` would strip.
 
+The oracle side takes every projected tensor of a family from one
+`isotypic_components` sweep over S_n, which sums x over each conjugacy
+class and combines the class sums with the character table; it never
+applies a projector element.  The projector elements of
+`isotypic_projector` are applied, with `apply_element`, only to check
+that sweep.
+
 - right_action_law: (x.s).t = x.(st) for the place-permutation action.
-- projector_idempotent_and_complete: each isotypic projector is
-  idempotent on decomposable tensors, and the projectors sum to x.
+- projector_idempotent_and_complete: each component of the sweep is
+  fixed by its isotypic projector element, and the components sum to x.
+  The first checks the sweep against the projector elements, the second
+  the column orthogonality of the character table.
 - gamas_matches_oracle: Gamas' theorem (Linear Algebra Appl. 108, 1988).
-  The column-system scan, the standard-tableau scan and the projected
-  tensor agree on vanishing, and a witness system has independent
+  The column-system scan, the standard-tableau scan and the swept
+  component agree on vanishing, and a witness system has independent
   columns.
 - equality_matches_oracle: the da Cruz-Dias da Silva column-system
-  conditions agree with comparing the two projected tensors.
+  conditions agree with comparing the two families' swept components.
 
 `selfcheck` runs every property once, and the tests call the same ones.
 """
@@ -35,7 +44,15 @@ from .decision import (
 )
 from .group_algebra import isotypic_projector
 from .sampling import random_family, scaled_family
-from .tensor import act, apply_element, decomposable, is_zero, tensor_add, tensor_equal
+from .tensor import (
+    act,
+    apply_element,
+    decomposable,
+    is_zero,
+    isotypic_components,
+    tensor_add,
+    tensor_equal,
+)
 
 
 def properties(
@@ -71,9 +88,10 @@ def properties(
         for _ in range(trials):
             fam = random_family(rng, n, rng.choice(dims), adversarial=True)
             x = decomposable(fam)
+            components = isotypic_components(x, max_n)
             total = None
             for lam in partitions:
-                once = apply_element(x, projectors[lam])
+                once = components[lam]
                 if not tensor_equal(apply_element(once, projectors[lam]), once):
                     return None
                 total = once if total is None else tensor_add(total, once)
@@ -86,11 +104,11 @@ def properties(
         checks = 0
         for _ in range(trials):
             fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            x = decomposable(fam)
+            components = isotypic_components(decomposable(fam), max_n)
             for lam in partitions:
                 nonzero, witness = gamas_nonvanishing(fam, lam, max_n)
                 standard, _ = gamas_standard(fam, lam, max_n)
-                oracle_nonzero = not is_zero(apply_element(x, projectors[lam]))
+                oracle_nonzero = not is_zero(components[lam])
                 if nonzero != oracle_nonzero or standard != nonzero:
                     return None
                 if witness is not None and not columns_independent(fam, witness):
@@ -107,14 +125,11 @@ def properties(
                 fu = random_family(rng, n, dim, adversarial=True)
             else:
                 fu = scaled_family(rng, fv, unit_product=(trial % 3 == 1))
-            xv = decomposable(fv)
-            xu = decomposable(fu)
+            cv = isotypic_components(decomposable(fv), max_n)
+            cu = isotypic_components(decomposable(fu), max_n)
             for lam in partitions:
                 verdict = decide_equality(fv, fu, lam, max_n)
-                oracle = tensor_equal(
-                    apply_element(xv, projectors[lam]),
-                    apply_element(xu, projectors[lam]),
-                )
+                oracle = tensor_equal(cv[lam], cu[lam])
                 if verdict.equal != oracle:
                     return None
                 checks += 1

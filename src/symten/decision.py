@@ -84,9 +84,6 @@ class _SpanKeys(dict):
     def has_key(self, column: tuple[int, ...]) -> bool:
         return self[column] is not None
 
-    def independent(self, system: ColumnSystem) -> bool:
-        return all(self[column] is not None for column in system)
-
 
 def gamas_nonvanishing(
     family: VectorFamily, lam: Part, max_n: int = DEFAULT_MAX_N
@@ -116,28 +113,28 @@ def gamas_standard(
 
 
 def _search_matching(
-    v_keys: _SpanKeys, u_keys: _SpanKeys, system: ColumnSystem
+    system: ColumnSystem, pairs: list[tuple[SpanKey, SpanKey]]
 ) -> tuple[Optional[SystemWitness], Optional[SystemFailure]]:
     """Find a span-preserving column matching with determinant product 1.
 
-    Span equality is an equivalence relation, so the matchable pairs form
+    pairs holds each column's (v key, u key), both independent.  Span
+    equality is an equivalence relation, so the matchable pairs form
     one complete bipartite block per span.  Each v-column takes the first
     free u-column of its span: this gets stuck only if no matching exists,
     and it is the first matching a search in column order reaches.  Every
     matching has the product (prod of all d_v) / (prod of all d_u).
     """
     free: dict[tuple, list[int]] = {}
-    for t, column in enumerate(system):
-        free.setdefault(u_keys[column][0], []).append(t)
+    for t, (_, (basis, _)) in enumerate(pairs):
+        free.setdefault(basis, []).append(t)
     sigma, scalars = [], []
-    for column in system:
-        basis, d_v = v_keys[column]
+    for (basis, d_v), _ in pairs:
         targets = free.get(basis)
         if not targets:
             return None, SystemFailure(system, NO_SPAN_MATCHING)
         t = targets.pop(0)
         sigma.append(t + 1)
-        scalars.append(d_v / u_keys[system[t]][1])
+        scalars.append(d_v / pairs[t][1][1])
     product = math.prod(scalars, start=Fraction(1))
     if product != 1:
         return None, SystemFailure(system, PRODUCT_NOT_ONE, tuple(scalars), product)
@@ -175,8 +172,9 @@ def decide_equality(
         return v_keys.has_key(column) or u_keys.has_key(column)
 
     for system in iter_column_systems(lam, max_n, keep):
-        v_ind = v_keys.independent(system)
-        u_ind = u_keys.independent(system)
+        pairs = [(v_keys[column], u_keys[column]) for column in system]
+        v_ind = all(v is not None for v, _ in pairs)
+        u_ind = all(u is not None for _, u in pairs)
         if v_ind != u_ind:
             failures.append(SystemFailure(system, INDEPENDENCE_MISMATCH))
             if not exhaustive:
@@ -185,7 +183,7 @@ def decide_equality(
         if not v_ind:
             continue
         any_independent = True
-        witness, failure = _search_matching(v_keys, u_keys, system)
+        witness, failure = _search_matching(system, pairs)
         if witness is not None:
             witnesses.append(witness)
         else:

@@ -140,12 +140,23 @@ def _class_indices(n: int) -> bytes:
     return bytes(position[cycle_type(p)] for p in enumerate_permutations(n, n))
 
 
+def _class_weights(lam: Part, classes: list[Part]) -> tuple[Fraction, list[int]]:
+    """(scale, chis): the isotypic projector of lam is the sum over k of
+    scale * chis[k] times the sum of the class of cycle type classes[k].
+
+    classes is enumerate_partitions(n), scale is dim/n! and chis[k] the
+    character value on classes[k].
+    """
+    scale = Fraction(hook_length_dimension(lam), math.factorial(sum(lam)))
+    return scale, [mn_character(lam, ct) for ct in classes]
+
+
 def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
     """The central idempotent projecting onto the isotypic component of lam.
 
-    Coefficient of sigma is dim/n! times the character value on sigma's
-    class; the weight is computed once per cycle type and shared by the
-    class, and classes where the character vanishes are left out.  Each
+    Coefficient of sigma is the `_class_weights` weight of sigma's class;
+    the weight is computed once per cycle type and shared by the class,
+    and classes where the character vanishes are left out.  Each
     permutation's class is read from a table of n! bytes built by the
     first projector of each degree in a process, so that first build
     costs what computing every cycle type costs and later ones skip it.
@@ -153,11 +164,8 @@ def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
     lam = tuple(lam)
     n = sum(lam)
     check_limit(n, max_n)
-    scale = Fraction(hook_length_dimension(lam), math.factorial(n))
-    weights = [
-        scale * chi if (chi := mn_character(lam, ct)) else None
-        for ct in enumerate_partitions(n)
-    ]
+    scale, chis = _class_weights(lam, enumerate_partitions(n))
+    weights = [scale * chi if chi else None for chi in chis]
     terms = {
         p: weight
         for p, k in zip(enumerate_permutations(n, max_n), _class_indices(n))

@@ -11,10 +11,18 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
+from typing import Iterable
 
-from .combinatorics import Perm
-from .group_algebra import GroupAlgebraElement
+from .combinatorics import (
+    DEFAULT_MAX_N,
+    Part,
+    Perm,
+    check_limit,
+    enumerate_partitions,
+    enumerate_permutations,
+)
+from .group_algebra import GroupAlgebraElement, _class_indices, _class_weights
 from .linalg import VectorFamily, format_rational, parse_rational
 
 Index = tuple[int, ...]
@@ -39,18 +47,23 @@ def zero_tensor(dim: int, order: int) -> SparseTensor:
 
 
 def decomposable(family: VectorFamily) -> SparseTensor:
-    """The tensor product of the family's vectors, in order."""
-    supports = [
-        [(i + 1, x) for i, x in enumerate(v) if x != 0] for v in family.vectors
-    ]
-    entries: dict[Index, Fraction] = {}
-    for combo in itertools.product(*supports):
-        index = tuple(i for i, _ in combo)
-        coeff = Fraction(1)
-        for _, x in combo:
-            coeff *= x
-        entries[index] = coeff
-    return SparseTensor(family.dim, len(family.vectors), entries)
+    """The tensor product of the family's vectors, in order.
+
+    Multiplies the family's integer-scaled rows and divides each product
+    by the product of their scales once, so each entry is one `Fraction`.
+    """
+    terms: dict[Index, int] = {(): 1}
+    for row, _ in family._scaled_rows:
+        support = [(i, x) for i, x in enumerate(row, 1) if x]
+        terms = {
+            index + (i,): c * x for index, c in terms.items() for i, x in support
+        }
+    d = math.prod(scale for _, scale in family._scaled_rows)
+    return SparseTensor(
+        family.dim,
+        len(family.vectors),
+        {index: Fraction(c, d) for index, c in terms.items()},
+    )
 
 
 def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
@@ -64,6 +77,33 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
     return SparseTensor(x.dim, x.order, entries)
 
 
+def _permuted_sums(
+    x: SparseTensor,
+    perms: Iterable[Perm],
+    weights: Iterable[int],
+    targets: Iterable[dict[Index, int]],
+) -> int:
+    """For each sigma, w, sums of zip(perms, weights, targets), add w times
+    x acted on by sigma into sums, on integers; returns their denominator.
+
+    x's entries are scaled by the lcm d of their denominators, so every
+    term is an `int` multiply-add and each sums holds numerators over d.
+    """
+    d_x = math.lcm(*{c.denominator for c in x.entries.values()})
+    # a leading pad lets sigma's one-based images pick the slots directly
+    padded = [(0, *index) for index in x.entries]
+    coeffs = [c.numerator * (d_x // c.denominator) for c in x.entries.values()]
+    # itemgetter returns a bare item for one position, and S_0 and S_1
+    # hold only the identity, which drops the pad
+    unpad = itemgetter(slice(1, None))
+    for sigma, w, sums in zip(perms, weights, targets):
+        get = sums.get
+        move = itemgetter(*sigma) if x.order > 1 else unpad
+        for moved, c in zip(map(move, padded), coeffs):
+            sums[moved] = get(moved, 0) + w * c
+    return d_x
+
+
 def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     """Apply a group-algebra element: the weighted sum of permuted copies.
 
@@ -75,24 +115,57 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
     d_g = math.lcm(*{w.denominator for w in g.terms.values()})
-    d_x = math.lcm(*{c.denominator for c in x.entries.values()})
-    # a leading pad lets sigma's one-based images pick the slots directly
-    padded = [(0, *index) for index in x.entries]
-    coeffs = [c.numerator * (d_x // c.denominator) for c in x.entries.values()]
-    # itemgetter returns a bare item for one position, and S_0 and S_1
-    # hold only the identity, which drops the pad
-    unpad = itemgetter(slice(1, None))
     sums: dict[Index, int] = {}
-    get = sums.get
-    for sigma, weight in g.terms.items():
-        w = weight.numerator * (d_g // weight.denominator)
-        move = itemgetter(*sigma) if x.order > 1 else unpad
-        for moved, c in zip(map(move, padded), coeffs):
-            sums[moved] = get(moved, 0) + w * c
+    d_x = _permuted_sums(
+        x,
+        g.terms,
+        [w.numerator * (d_g // w.denominator) for w in g.terms.values()],
+        itertools.repeat(sums),
+    )
     d = d_g * d_x
     return SparseTensor(
         x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
     )
+
+
+def isotypic_components(
+    x: SparseTensor, max_n: int = DEFAULT_MAX_N
+) -> dict[Part, SparseTensor]:
+    """x's component in the isotypic subspace of every lam |- n, by shape.
+
+    Equals `apply_element(x, isotypic_projector(lam))` for each lam, from
+    one sweep over S_n instead of one per lam: each projector is a
+    combination of the class sums C_k (see `_class_weights`), so the
+    sweep collects every C_k x as integer sums over x's denominator, and
+    each component adds them up with the integer character values.
+    """
+    n = x.order
+    check_limit(n, max_n)
+    shapes = enumerate_partitions(n)
+    class_sums: list[dict[Index, int]] = [{} for _ in shapes]
+    d_x = _permuted_sums(
+        x,
+        enumerate_permutations(n, max_n),
+        itertools.repeat(1),
+        map(class_sums.__getitem__, _class_indices(n)),
+    )
+    # one row of class sums per index any class reaches
+    indices = list(set().union(*class_sums))
+    rows = [[sums.get(i, 0) for sums in class_sums] for i in indices]
+    components = {}
+    for lam in shapes:
+        scale, chis = _class_weights(lam, shapes)
+        d = scale.denominator * d_x
+        components[lam] = SparseTensor(
+            x.dim,
+            n,
+            {
+                i: Fraction(scale.numerator * v, d)
+                for i, row in zip(indices, rows)
+                if (v := sum(map(mul, chis, row)))
+            },
+        )
+    return components
 
 
 def tensor_add(x: SparseTensor, y: SparseTensor) -> SparseTensor:

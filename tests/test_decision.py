@@ -15,6 +15,7 @@ from symten.combinatorics import (
     compose,
     enumerate_column_systems,
     enumerate_partitions,
+    identity,
 )
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
@@ -28,10 +29,10 @@ from symten.decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from symten.group_algebra import isotypic_projector
+from symten.group_algebra import isotypic_projector, unit
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family
-from symten.tensor import is_zero
+from symten.tensor import apply_element, is_zero, isotypic_components
 
 F = Fraction
 
@@ -351,6 +352,24 @@ def _leaky_projector(lam, max_n):
     return isotypic_projector(lam, max_n)
 
 
+def _components_without_identity(x, max_n):
+    """Every isotypic component with the identity's class left out of the
+    sweep: the projector applied without its identity term."""
+    components = {}
+    for lam in enumerate_partitions(x.order):
+        projector = isotypic_projector(lam, max_n)
+        at_identity = projector.coefficient(identity(x.order)) * unit(x.order)
+        components[lam] = apply_element(x, projector - at_identity)
+    return components
+
+
+def _components_of_next_shape(x, max_n):
+    """Each shape given the component of the shape after it."""
+    components = isotypic_components(x, max_n)
+    shapes = list(components)
+    return {lam: components[shapes[(k + 1) % len(shapes)]] for k, lam in enumerate(shapes)}
+
+
 def _flip_verdict(fv, fu, lam, max_n):
     verdict = decide_equality(fv, fu, lam, max_n)
     return dataclasses.replace(verdict, equal=not verdict.equal)
@@ -367,8 +386,17 @@ def _flip_verdict(fv, fu, lam, max_n):
         ("gamas_matches_oracle", "gamas_standard", lambda fam, lam, max_n: (False, None)),
         ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
         ("equality_matches_oracle", "decide_equality", _flip_verdict),
+        ("projector_idempotent_and_complete", "isotypic_components",
+         _components_without_identity),
+        ("projector_idempotent_and_complete", "isotypic_components", _components_of_next_shape),
+        ("gamas_matches_oracle", "isotypic_components", _components_without_identity),
+        ("gamas_matches_oracle", "isotypic_components", _components_of_next_shape),
+        ("equality_matches_oracle", "isotypic_components", _components_without_identity),
+        ("equality_matches_oracle", "isotypic_components", _components_of_next_shape),
     ],
-    ids=["action", "idempotent", "complete", "oracle", "standard", "witness", "equality"],
+    ids=["action", "idempotent", "complete", "oracle", "standard", "witness", "equality",
+         "sweep-class-idempotent", "sweep-shape-idempotent", "sweep-class-gamas",
+         "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality"],
 )
 def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, target, broken):
     monkeypatch.setattr(crosscheck, target, broken)

@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symten import crosscheck
-from symten.combinatorics import enumerate_partitions, identity
+from symten.combinatorics import SizeLimitError, enumerate_partitions, identity
 from symten.group_algebra import (
     GroupAlgebraElement,
     basis_element,
@@ -25,6 +26,7 @@ from symten.tensor import (
     decomposable,
     from_json_obj,
     is_zero,
+    isotypic_components,
     tensor_add,
     tensor_equal,
     tensor_scale,
@@ -46,6 +48,46 @@ def test_decomposable_examples():
     assert x.entries == {(1, 1): F(2)}
     x = decomposable(fam((1, 1), (1, 0)))
     assert x.entries == {(1, 1): F(1), (2, 1): F(1)}
+
+
+def _reference_decomposable(family):
+    """decomposable written out with one Fraction product per entry."""
+    entries = {}
+    supports = [[(i, x) for i, x in enumerate(v, 1) if x] for v in family.vectors]
+    for combo in itertools.product(*supports):
+        coeff = F(1)
+        for _, x in combo:
+            coeff *= x
+        entries[tuple(i for i, _ in combo)] = coeff
+    return entries
+
+
+_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def _families(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    vectors = [
+        draw(st.one_of(st.just((0,) * dim), st.tuples(*[_entries] * dim)))
+        for _ in range(n)
+    ]
+    return VectorFamily(dim, tuple(vectors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families())
+def test_decomposable_matches_fraction_reference(family):
+    x = decomposable(family)
+    assert (x.dim, x.order) == (family.dim, len(family))
+    assert x.entries == _reference_decomposable(family)
+    assert all(type(c) is F for c in x.entries.values())
+
+
+def test_decomposable_of_empty_and_zero_families():
+    assert decomposable(VectorFamily(2, ())).entries == {(): F(1)}
+    assert is_zero(decomposable(VectorFamily(2, ((1, 2), (0, 0)))))
 
 
 def test_act_examples():
@@ -174,3 +216,39 @@ def test_apply_element_zero_operands(order):
     assert is_zero(apply_element(x, zero_element(order)))
     assert is_zero(apply_element(zero_tensor(2, order), unit(order)))
     assert apply_element(x, F(2, 3) * unit(order)).entries == {(1,) * order: F(1, 2)}
+
+
+@st.composite
+def _tensors(draw):
+    """Sparse tensors of order at most 5: zero, decomposable or not, with
+    entries of mixed denominators."""
+    order = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(1, dim)] * order)
+    return SparseTensor(dim, order, draw(st.dictionaries(index, _rationals, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensors())
+@example(zero_tensor(2, 0))
+@example(SparseTensor(2, 0, {(): F(-3, 4)}))
+@example(SparseTensor(3, 1, {(1,): F(1, 2), (3,): F(2, 3)}))
+@example(SparseTensor(2, 3, {(1, 2, 2): F(1, 6), (2, 1, 1): F(-3, 4), (1, 1, 1): F(5)}))
+def test_isotypic_components_match_projectors(x):
+    components = isotypic_components(x)
+    assert list(components) == enumerate_partitions(x.order)
+    total = zero_tensor(x.dim, x.order)
+    for lam, component in components.items():
+        assert (component.dim, component.order) == (x.dim, x.order)
+        assert component.entries == apply_element(x, isotypic_projector(lam)).entries
+        assert all(type(c) is F for c in component.entries.values())
+        total = tensor_add(total, component)
+    assert tensor_equal(total, x)
+
+
+# at order 60 the guard must come before listing the 966,467 shapes
+@pytest.mark.parametrize("order,max_n", [(9, None), (60, None), (4, 3)])
+def test_isotypic_components_honour_max_n(order, max_n):
+    x = SparseTensor(1, order, {(1,) * order: F(1)})
+    with pytest.raises(SizeLimitError):
+        isotypic_components(x, *([max_n] if max_n else []))
