@@ -4,17 +4,20 @@ Reads problem instances as JSON, runs the combinatorial deciders and the
 brute-force tensor oracle, and emits JSON verdicts, witnesses, tensors
 and character tables.  Rationals travel as strings ("p/q" or "p"), never
 as floats, and every payload is ordered deterministically so reruns are
-byte-identical.  `selfcheck` runs the properties of `symten.crosscheck`.
+byte-identical.  Every command writes its payload through `_json_text`,
+which gives exactly the bytes of `json.dumps(payload, indent=2)`.
+`selfcheck` runs the properties of `symten.crosscheck`.
 
 Exit codes: 0 success, 1 self-check property failure (a property that
-raises fails) or disagreeing Gamas deciders, 2 input or output error,
-3 size-limit exceeded.
+raises fails) or disagreeing Gamas deciders, 2 input or output error
+(stdout included), 3 size-limit exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -91,8 +94,51 @@ def load_instance(path: str, require_u: bool = False):
     return lam, fv, fu
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, built by joining strings.
+
+    Takes dicts with str keys, lists, strs, ints, bools and None, and
+    raises TypeError for anything else, floats and tuples included.
+    Strings are escaped by the encoder `json.dumps` uses, which refuses
+    non-str keys, and ints are written by `int.__repr__` as it writes
+    them; a list of ints only or of strings only is written by one join.
+    newline is the line break and indentation of the current nesting level.
+    """
+    kind = type(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_encode_str, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"not written as JSON: {kind.__name__}")
+
+
 def _emit(obj: dict, output: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _json_text(obj) + "\n"
     if output:
         try:
             with open(output, "w") as handle:
@@ -100,7 +146,16 @@ def _emit(obj: dict, output: str | None) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit; on devnull that
+            # flush cannot fail too and turn exit 2 into 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write stdout: {exc}") from exc
 
 
 def _system_json(system) -> list[list[int]]:

@@ -11,11 +11,12 @@ on both sides for equality.  Each decider call computes the `span_key` of each
 column once per family, by one fraction-free integer elimination:
 independence is having a key, span equality is equality of the keys'
 primitive integer bases, and a greedy column matching within equal keys
-decides, with the keys' rational minors as its scalars.
+decides, with the ratios of the keys' rational minors as its scalars.
+Each (v column, u column) ratio is computed once per call, and the
+product of a matching is decided on integers.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -112,8 +113,13 @@ def gamas_standard(
     return rows is not None, rows
 
 
+_ONE = Fraction(1)  # the product of every witness
+
+
 def _search_matching(
-    system: ColumnSystem, pairs: list[tuple[SpanKey, SpanKey]]
+    system: ColumnSystem,
+    pairs: list[tuple[SpanKey, SpanKey]],
+    ratios: dict[tuple, Fraction],
 ) -> tuple[Optional[SystemWitness], Optional[SystemFailure]]:
     """Find a span-preserving column matching with determinant product 1.
 
@@ -123,22 +129,37 @@ def _search_matching(
     free u-column of its span: this gets stuck only if no matching exists,
     and it is the first matching a search in column order reaches.  Every
     matching has the product (prod of all d_v) / (prod of all d_u).
+
+    ratios maps a (v column, u column) pair to d_v / d_u for the whole
+    decider call, so each pair's ratio is divided out once and shared by
+    every system that matches that pair.  The ratios' integer numerators
+    and denominators are multiplied separately, and the product is 1
+    exactly when the two integers are equal; the product is a `Fraction`
+    of its own only in a product_not_one failure.
     """
     free: dict[tuple, list[int]] = {}
     for t, (_, (basis, _)) in enumerate(pairs):
         free.setdefault(basis, []).append(t)
     sigma, scalars = [], []
-    for (basis, d_v), _ in pairs:
+    num = den = 1
+    for column, ((basis, d_v), _) in zip(system, pairs):
         targets = free.get(basis)
         if not targets:
             return None, SystemFailure(system, NO_SPAN_MATCHING)
         t = targets.pop(0)
         sigma.append(t + 1)
-        scalars.append(d_v / pairs[t][1][1])
-    product = math.prod(scalars, start=Fraction(1))
-    if product != 1:
-        return None, SystemFailure(system, PRODUCT_NOT_ONE, tuple(scalars), product)
-    return SystemWitness(system, tuple(sigma), tuple(scalars), product), None
+        pair = column, system[t]
+        ratio = ratios.get(pair)
+        if ratio is None:
+            ratio = ratios[pair] = d_v / pairs[t][1][1]
+        scalars.append(ratio)
+        num *= ratio.numerator
+        den *= ratio.denominator
+    if num != den:
+        return None, SystemFailure(
+            system, PRODUCT_NOT_ONE, tuple(scalars), Fraction(num, den)
+        )
+    return SystemWitness(system, tuple(sigma), tuple(scalars), _ONE), None
 
 
 def decide_equality(
@@ -166,6 +187,7 @@ def decide_equality(
     witnesses: list[SystemWitness] = []
     any_independent = False
     v_keys, u_keys = _SpanKeys(fv), _SpanKeys(fu)
+    ratios: dict[tuple, Fraction] = {}  # see _search_matching
 
     def keep(column: tuple[int, ...]) -> bool:
         # a column dependent on both sides only leads to skipped systems
@@ -183,7 +205,7 @@ def decide_equality(
         if not v_ind:
             continue
         any_independent = True
-        witness, failure = _search_matching(system, pairs)
+        witness, failure = _search_matching(system, pairs, ratios)
         if witness is not None:
             witnesses.append(witness)
         else:

@@ -48,6 +48,13 @@ class GroupAlgebraElement:
     def __post_init__(self):
         object.__setattr__(self, "terms", _canonical(self.terms))
 
+    @classmethod
+    def _nonzero(cls, degree: int, terms: dict[Perm, Fraction]) -> "GroupAlgebraElement":
+        """The element of terms that are all nonzero already: not re-filtered."""
+        x = object.__new__(cls)
+        x.__dict__.update(degree=degree, terms=terms)
+        return x
+
     def _check(self, other: "GroupAlgebraElement") -> None:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
@@ -109,7 +116,7 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
 def row_symmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
     """Sum over the row group of the tableau, all coefficients 1."""
     n = sum(tableau_shape(rows))
-    return GroupAlgebraElement(
+    return GroupAlgebraElement._nonzero(
         n, {p: Fraction(1) for p in row_group(rows, max_n)}
     )
 
@@ -117,7 +124,7 @@ def row_symmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEleme
 def column_antisymmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
     """Signed sum over the column group of the tableau."""
     n = sum(tableau_shape(rows))
-    return GroupAlgebraElement(
+    return GroupAlgebraElement._nonzero(
         n, {p: Fraction(sign(p)) for p in col_group(rows, max_n)}
     )
 
@@ -171,7 +178,7 @@ def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
         for p, k in zip(enumerate_permutations(n, max_n), _class_indices(n))
         if (weight := weights[k]) is not None
     }
-    return GroupAlgebraElement(n, terms)
+    return GroupAlgebraElement._nonzero(n, terms)
 
 
 def sum_young_symmetrizers(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:

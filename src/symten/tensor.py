@@ -41,6 +41,15 @@ class SparseTensor:
     def __post_init__(self):
         object.__setattr__(self, "entries", _canonical(self.entries))
 
+    @classmethod
+    def _nonzero(
+        cls, dim: int, order: int, entries: dict[Index, Fraction]
+    ) -> "SparseTensor":
+        """The tensor of entries that are all nonzero already: not re-filtered."""
+        x = object.__new__(cls)
+        x.__dict__.update(dim=dim, order=order, entries=entries)
+        return x
+
 
 def zero_tensor(dim: int, order: int) -> SparseTensor:
     return SparseTensor(dim, order, {})
@@ -59,7 +68,7 @@ def decomposable(family: VectorFamily) -> SparseTensor:
             index + (i,): c * x for index, c in terms.items() for i, x in support
         }
     d = math.prod(scale for _, scale in family._scaled_rows)
-    return SparseTensor(
+    return SparseTensor._nonzero(
         family.dim,
         len(family.vectors),
         {index: Fraction(c, d) for index, c in terms.items()},
@@ -74,7 +83,7 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
         tuple(index[s - 1] for s in sigma): coeff
         for index, coeff in x.entries.items()
     }
-    return SparseTensor(x.dim, x.order, entries)
+    return SparseTensor._nonzero(x.dim, x.order, entries)
 
 
 def _permuted_sums(
@@ -123,7 +132,7 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
         itertools.repeat(sums),
     )
     d = d_g * d_x
-    return SparseTensor(
+    return SparseTensor._nonzero(
         x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
     )
 
@@ -156,7 +165,7 @@ def isotypic_components(
     for lam in shapes:
         scale, chis = _class_weights(lam, shapes)
         d = scale.denominator * d_x
-        components[lam] = SparseTensor(
+        components[lam] = SparseTensor._nonzero(
             x.dim,
             n,
             {

@@ -1,15 +1,18 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symten import characters, cli, crosscheck, group_algebra
+from symten.linalg import format_rational
+from symten.sampling import random_family, scaled_family
 from symten.tensor import from_json_obj, tensor_equal
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +27,15 @@ GOLDEN_CASES = [
     ("equal", "equal_both_vanish"),
     ("symmetrize", "symmetrize_basis"),
     ("symmetrize", "symmetrize_vanishing"),
+]
+
+# the argv of every file in tests/golden/, which CI also runs under python -O
+GOLDEN_COMMANDS = [
+    ((command, "--input", str(DATA / f"{name}.json")), name)
+    for command, name in GOLDEN_CASES
+] + [
+    (("characters", "--n", "4"), "characters_n4"),
+    (("selfcheck", "--n", "3", "--trials", "5", "--seed", "2"), "selfcheck_n3"),
 ]
 
 
@@ -81,21 +93,13 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
 
 
 def test_golden_commands_repeat_in_process(capsys):
-    commands = [
-        ((command, "--input", str(DATA / f"{name}.json")), name)
-        for command, name in GOLDEN_CASES
-    ]
-    commands.append((("characters", "--n", "4"), "characters_n4"))
-    commands.append(
-        (("selfcheck", "--n", "3", "--trials", "5", "--seed", "2"), "selfcheck_n3")
-    )
-    assert {name for _, name in commands} == {p.stem for p in GOLDEN.glob("*.json")}
+    assert {name for _, name in GOLDEN_COMMANDS} == {p.stem for p in GOLDEN.glob("*.json")}
     # the first round starts cold, the second hits every per-process cache
     cli.build_parser.cache_clear()
     group_algebra._class_indices.cache_clear()
     characters.mn_character.cache_clear()
     for _ in range(2):
-        for argv, name in commands:
+        for argv, name in GOLDEN_COMMANDS:
             code, out = run(capsys, *argv)
             assert code == 0, name
             assert out == (GOLDEN / f"{name}.json").read_text(), name
@@ -256,6 +260,22 @@ def test_unwritable_output_exits_2(capsys, tmp_path, target):
     assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_stdout_exits_2():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["gamas", "--input", str(DATA / "gamas_vanishing.json")]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symten.cli", *argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2, proc.stderr
+    # one line: no traceback, and no failed flush reported at exit
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_argument_ranges_exit_2(capsys):
     for argv in (
         ["characters", "--n", "-3"],
@@ -368,3 +388,74 @@ def test_load_instance_parses_or_raises_input_error(tmp_path_factory, doc):
         return
     assert type(fv.dim) is int and all(type(p) is int for p in lam)
     assert len(fv) == sum(lam)
+
+
+# every kind the writer takes, with the strings and ints json.dumps escapes
+# or spells out in full
+writer_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x7F))
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\n\t\r"])
+)
+writer_values = st.recursive(
+    writer_leaves,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_values)
+@example({"a\u00e9\"\\": ["\x07", "\u2028", -(10**40)], "": {}, "e": [[], {}, [[]], [{}]]})
+@example([1, True, 0, False, None, -1])
+@example([[1, 2], ["x", "y"], [True, 2], [2, True], ["a", 1]])
+@example({})
+@example([])
+def test_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, {"a": [1.0]}, (1, 2), [1, (2,)], {1: "a"}, {"a": {None: 1}}, float("nan")],
+    ids=["float", "nested-float", "tuple", "nested-tuple", "int-key", "none-key", "nan"],
+)
+def test_writer_refuses_what_json_dumps_would_convert(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+def _writes_as_json_dumps(out: str) -> bool:
+    return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_writer_on_large_outputs(capsys, tmp_path):
+    rng = random.Random(7)
+    fv = random_family(rng, 7, 3)
+    fu = scaled_family(rng, fv, unit_product=False)
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "lambda": [3, 2, 2],
+        "v": [[format_rational(x) for x in v] for v in fv.vectors],
+        "u": [[format_rational(x) for x in u] for u in fu.vectors],
+    }))
+    code, out = run(capsys, "equal", "--input", str(path), "--exhaustive-failures")
+    assert code == 0
+    report = json.loads(out)
+    assert report["equal"] is False and len(report["failures"]) > 50
+    assert {f["reason"] for f in report["failures"]} == {"product_not_one"}
+    assert _writes_as_json_dumps(out)
+    path.write_text(json.dumps({
+        "dim": 2,
+        "lambda": [4, 2],
+        "v": [[format_rational(x) for x in v] for v in random_family(rng, 6, 2).vectors],
+    }))
+    code, out = run(capsys, "symmetrize", "--input", str(path))
+    assert code == 0
+    assert len(json.loads(out)["entries"]) > 20
+    assert _writes_as_json_dumps(out)

@@ -152,6 +152,30 @@ def test_decide_equality_independence_mismatch():
     assert verdict.failures[0].reason == INDEPENDENCE_MISMATCH
 
 
+def test_equality_divides_each_column_pair_once(monkeypatch):
+    rng = random.Random(3)
+    fv = random_family(rng, 6, 3)
+    fu = scaled_family(rng, fv, unit_product=True)
+    divisions = []
+    divide = F.__truediv__
+
+    def counted(a, b):
+        divisions.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(F, "__truediv__", counted)
+    verdict = decide_equality(fv, fu, (3, 2, 1))
+    monkeypatch.undo()
+    assert verdict.mode == "witnessed"
+    matched = [
+        (column, w.system[s - 1])
+        for w in verdict.witnesses
+        for column, s in zip(w.system, w.sigma)
+    ]
+    assert len(divisions) == len(set(matched)) < len(matched)
+    assert len({id(w.product) for w in verdict.witnesses}) == 1
+
+
 def test_decide_equality_input_errors():
     v = fam((1, 0), (0, 1))
     with pytest.raises(ValueError):

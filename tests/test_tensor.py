@@ -11,8 +11,10 @@ from symten.combinatorics import SizeLimitError, enumerate_partitions, identity
 from symten.group_algebra import (
     GroupAlgebraElement,
     basis_element,
+    column_antisymmetrizer,
     ga_multiply,
     isotypic_projector,
+    row_symmetrizer,
     unit,
     young_symmetrizer,
     zero_element,
@@ -129,6 +131,48 @@ def test_canonical_form_drops_zeros():
     x = SparseTensor(2, 1, {(1,): F(0), (2,): F(3)})
     assert x.entries == {(2,): F(3)}
     assert is_zero(tensor_add(x, tensor_scale(x, -1)))
+
+
+def test_public_paths_drop_zeros():
+    x = SparseTensor(2, 2, {(1, 1): F(0), (1, 2): F(1, 2), (2, 2): F(-1)})
+    assert x.entries == {(1, 2): F(1, 2), (2, 2): F(-1)}
+    entries = [{"index": [1], "coeff": "0"}, {"index": [2], "coeff": "-2/3"}]
+    loaded = from_json_obj({"dim": 2, "order": 1, "entries": entries})
+    assert loaded.entries == {(2,): F(-2, 3)}
+    y = SparseTensor(2, 2, {(1, 2): F(-1, 2), (2, 1): F(5)})
+    assert tensor_add(x, y).entries == {(2, 1): F(5), (2, 2): F(-1)}
+    assert tensor_scale(x, 0).entries == {}
+    g = GroupAlgebraElement(2, {identity(2): F(1), (2, 1): F(0)})
+    assert g.terms == {identity(2): F(1)}
+    assert g.scale(0).terms == {}
+    plus = GroupAlgebraElement(2, {identity(2): F(1), (2, 1): F(1)})
+    minus = GroupAlgebraElement(2, {identity(2): F(1), (2, 1): F(-1)})
+    assert ga_multiply(plus, minus).terms == {}
+
+
+def test_builders_do_not_refilter_nonzero_entries(monkeypatch):
+    family = fam((1, F(1, 2), 0), (0, 2, -1), (F(3, 4), 1, 1), (1, 0, 2))
+    calls = []
+    nonzero = F.__bool__
+
+    def counted(self):
+        calls.append(self)
+        return nonzero(self)
+
+    monkeypatch.setattr(F, "__bool__", counted)
+    x = decomposable(family)
+    result = apply_element(x, isotypic_projector((2, 1, 1)))
+    moved = act(result, (2, 3, 4, 1))
+    components = isotypic_components(x)
+    rows = ((1, 2), (3, 4))
+    symmetrizers = [row_symmetrizer(rows), column_antisymmetrizer(rows)]
+    monkeypatch.undo()
+    assert calls == []
+    assert tensor_equal(components[(2, 1, 1)], result)
+    for t in (x, result, moved, *components.values()):
+        assert all(t.entries.values())
+    for g in symmetrizers:
+        assert g.terms and all(g.terms.values())
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 3)])
