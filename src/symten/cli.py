@@ -221,13 +221,10 @@ def cmd_symmetrize(args) -> int:
     lam, fv, _ = load_instance(args.input)
     projector = isotypic_projector(lam, args.max_n)
     result = apply_element(decomposable(fv), projector)
-    obj = to_json_obj(result)
     if args.shape_only:
-        obj = {
-            "dim": obj["dim"],
-            "order": obj["order"],
-            "entry_count": len(obj["entries"]),
-        }
+        obj = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
+    else:
+        obj = to_json_obj(result)
     _emit(obj, args.output)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 SpanKey = tuple[tuple[tuple[int, ...], ...], Fraction]  # see span_key
@@ -87,10 +87,11 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _scaled(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The row times the lcm of its entries' denominators, and that lcm."""
-    lcm = math.lcm(*[x.denominator for x in row])
-    return tuple([x.numerator * (lcm // x.denominator) for x in row]), lcm
+def _scaled(values: Collection[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The values times the lcm of their denominators, and that lcm; values
+    (a row or a dict view) is read twice, and ints are over 1."""
+    lcm = math.lcm(*{x.denominator for x in values})
+    return tuple([x.numerator * (lcm // x.denominator) for x in values]), lcm
 
 
 def _echelon(
@@ -150,6 +151,8 @@ def _exact(rows: Sequence[Sequence]) -> Sequence[Sequence]:
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank; entries are non-bool ints or Fractions, else TypeError."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rank of rows of unequal length")
     return len(_echelon([_scaled(row) for row in _exact(rows)])[1])
 
 

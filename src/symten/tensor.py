@@ -23,7 +23,7 @@ from .combinatorics import (
     enumerate_permutations,
 )
 from .group_algebra import GroupAlgebraElement, _class_indices, _class_weights
-from .linalg import VectorFamily, format_rational, parse_rational
+from .linalg import VectorFamily, _scaled, format_rational, parse_rational
 
 Index = tuple[int, ...]
 
@@ -95,13 +95,12 @@ def _permuted_sums(
     """For each sigma, w, sums of zip(perms, weights, targets), add w times
     x acted on by sigma into sums, on integers; returns their denominator.
 
-    x's entries are scaled by the lcm d of their denominators, so every
-    term is an `int` multiply-add and each sums holds numerators over d.
+    `linalg._scaled` puts x's entries over one denominator d, so every term
+    is an `int` multiply-add and each sums holds numerators over d.
     """
-    d_x = math.lcm(*{c.denominator for c in x.entries.values()})
+    coeffs, d_x = _scaled(x.entries.values())
     # a leading pad lets sigma's one-based images pick the slots directly
     padded = [(0, *index) for index in x.entries]
-    coeffs = [c.numerator * (d_x // c.denominator) for c in x.entries.values()]
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
     unpad = itemgetter(slice(1, None))
@@ -116,21 +115,16 @@ def _permuted_sums(
 def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     """Apply a group-algebra element: the weighted sum of permuted copies.
 
-    Exact, on integers: the weights are scaled by the lcm of their
-    denominators and the entries by the lcm of theirs, so every term is an
-    `int` multiply-add, and each nonzero sum is divided by the product of
-    the two lcms once, at the end.  The result equals the `Fraction` sum.
+    Exact, on integers: `linalg._scaled` scales the weights and the entries
+    to integers over one denominator each, so every term is an `int`
+    multiply-add, and each nonzero sum is divided by the product of the two
+    denominators once, at the end.  The result equals the `Fraction` sum.
     """
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
-    d_g = math.lcm(*{w.denominator for w in g.terms.values()})
+    weights, d_g = _scaled(g.terms.values())
     sums: dict[Index, int] = {}
-    d_x = _permuted_sums(
-        x,
-        g.terms,
-        [w.numerator * (d_g // w.denominator) for w in g.terms.values()],
-        itertools.repeat(sums),
-    )
+    d_x = _permuted_sums(x, g.terms, weights, itertools.repeat(sums))
     d = d_g * d_x
     return SparseTensor._nonzero(
         x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}

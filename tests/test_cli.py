@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symten import characters, cli, crosscheck, group_algebra
+from symten import characters, cli, crosscheck, group_algebra, tensor
 from symten.linalg import format_rational
 from symten.sampling import random_family, scaled_family
 from symten.tensor import from_json_obj, tensor_equal
@@ -124,6 +124,48 @@ def test_symmetrize_shape_only(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"dim": 3, "order": 3, "entry_count": 3}
+
+
+def test_symmetrize_shape_only_formats_no_coefficients(capsys, monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return format_rational(q)
+
+    monkeypatch.setattr(tensor, "format_rational", counted)
+    monkeypatch.setattr(cli, "format_rational", counted)
+    code, _ = run(
+        capsys, "symmetrize", "--input", str(DATA / "symmetrize_basis.json"), "--shape-only"
+    )
+    assert code == 0
+    assert calls == []
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
+def test_imports_only_the_standard_library():
+    # dependencies = [] in pyproject.toml: importing the commands and the
+    # crosscheck loads no module from outside symten and the standard library
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import symten.cli, symten.crosscheck\n"
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(proc.stdout.split())
+    assert "symten" in added
+    assert added - {"symten"} <= set(sys.stdlib_module_names), added
 
 
 def test_no_floats_in_payloads(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from symten.combinatorics import sign
 from symten.linalg import (
     VectorFamily,
+    _scaled,
     determinant,
     format_rational,
     is_independent,
@@ -39,6 +40,46 @@ def test_rank_examples():
     assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert rank([]) == 0
+
+
+def test_rank_refuses_rows_of_unequal_length():
+    for rows in ([[1], [2, 3]], [[0, 0], [1]]):
+        with pytest.raises(ValueError, match="unequal length"):
+            rank(rows)
+
+
+def _reference_scaled(values):
+    """The lcm of the denominators and each value times it, by Fractions."""
+    fractions = [F(x) for x in values]
+    lcm = math.lcm(*(q.denominator for q in fractions))
+    return [q * lcm for q in fractions], lcm
+
+
+def _check_scaled(values):
+    ints, lcm = _scaled(values)
+    scaled, reference_lcm = _reference_scaled(values)
+    assert type(ints) is tuple and all(type(x) is int for x in ints)
+    assert type(lcm) is int and lcm == reference_lcm
+    assert list(ints) == scaled
+    return ints, lcm
+
+
+def test_scaled_examples():
+    assert _check_scaled([]) == ((), 1)
+    assert _check_scaled({}.values()) == ((), 1)
+    assert _check_scaled((3, -4, 0, 7)) == ((3, -4, 0, 7), 1)
+    # repeated and mixed denominators, ints among them
+    mixed = [F(1, 2), F(-2, 3), F(5, 6), F(1, 2), 7, F(1, 3), F(-1, 2)]
+    assert _check_scaled(mixed) == ((3, -4, 5, 3, 42, 2, -3), 6)
+    weights = {(1, 2): F(3, 4), (2, 1): 2, (1, 1): F(-1, 4), (2, 2): F(3, 4)}
+    assert _check_scaled(weights.values()) == ((3, 8, -1, 3), 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals | st.integers(-50, 50), max_size=12))
+def test_scaled_matches_fraction_reference(values):
+    _check_scaled(values)
+    _check_scaled(dict(enumerate(values)).values())
 
 
 def test_determinant_examples():
