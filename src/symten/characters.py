@@ -135,7 +135,7 @@ def character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
     return CharacterTable(n, parts, parts, sizes, values)
 
 
-def character_table_oracle(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
+def character_table_oracle(n: int) -> CharacterTable:
     """Character table built without the border-strip rule.
 
     Extracts irreducibles by Gram-Schmidt of the permutation characters
@@ -143,7 +143,7 @@ def character_table_oracle(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable
     product; each permutation character contains its own irreducible with
     multiplicity one, so no normalization is needed.
     """
-    check_limit(n, max_n)
+    check_limit(n)
     parts = tuple(enumerate_partitions(n))
     sizes = tuple(class_size(ct, n) for ct in parts)
     n_fact = math.factorial(n)

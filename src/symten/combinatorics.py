@@ -147,21 +147,13 @@ def is_filling(rows: Rows) -> bool:
     return is_partition(shape) and sorted(entries) == list(range(1, len(entries) + 1))
 
 
-def _rows_from_flat(lam: Part, flat: Sequence[int]) -> Rows:
-    rows = []
-    pos = 0
-    for part in lam:
-        rows.append(tuple(flat[pos:pos + part]))
-        pos += part
-    return tuple(rows)
-
-
-def enumerate_fillings(lam: Part, max_n: int = DEFAULT_MAX_N) -> Iterator[Rows]:
+def enumerate_fillings(lam: Part) -> Iterator[Rows]:
     """All n! fillings of lam, in lexicographic order of the row-major word."""
     n = sum(lam)
-    check_limit(n, max_n)
+    check_limit(n)
+    ends = list(itertools.accumulate(lam))
     for flat in itertools.permutations(range(1, n + 1)):
-        yield _rows_from_flat(lam, flat)
+        yield tuple(flat[end - part:end] for part, end in zip(lam, ends))
 
 
 def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
@@ -292,15 +284,15 @@ def _setwise_stabilizer(blocks: list[tuple[int, ...]], n: int) -> list[Perm]:
     return perms
 
 
-def row_group(rows: Rows, max_n: int = DEFAULT_MAX_N) -> list[Perm]:
+def row_group(rows: Rows) -> list[Perm]:
     """All permutations stabilizing each row of the tableau setwise."""
     n = sum(tableau_shape(rows))
-    check_limit(n, max_n)
+    check_limit(n)
     return _setwise_stabilizer([tuple(r) for r in rows], n)
 
 
-def col_group(rows: Rows, max_n: int = DEFAULT_MAX_N) -> list[Perm]:
+def col_group(rows: Rows) -> list[Perm]:
     """All permutations stabilizing each column of the tableau setwise."""
     n = sum(tableau_shape(rows))
-    check_limit(n, max_n)
+    check_limit(n)
     return _setwise_stabilizer(tableau_columns(rows), n)

@@ -1,9 +1,13 @@
 """Randomized cross-checks of the deciders against the brute-force oracle.
 
-Each property draws random families (adversarial ones with repeated,
-zero and parallel vectors among them), compares two independent
-computations and returns its number of checks, or None at the first
-disagreement; None rather than an assert, which `python -O` would strip.
+Each property checks one trial: given the trial index, it draws random
+families from the shared rng (adversarial ones with repeated, zero and
+parallel vectors among them), compares two independent computations and
+says whether they agreed.  One loop runs the trials and stops at the
+first failing one, where the property returns None (not an assert, which
+`python -O` would strip); else it returns trials times its checks per
+trial.  To add a property, write one more function of the trial index and
+list it in `properties` with its checks per trial.
 
 The oracle side takes every projected tensor of a family from one
 `isotypic_components` sweep over S_n, which sums x over each conjugacy
@@ -12,7 +16,8 @@ applies a projector element.  The projector elements of
 `isotypic_projector` are applied, with `apply_element`, only to check
 that sweep.
 
-- right_action_law: (x.s).t = x.(st) for the place-permutation action.
+- right_action_law: (x.s).t = x.(st) for the place-permutation action;
+  one check per trial, where the others make one per shape of n.
 - projector_idempotent_and_complete: each component of the sweep is
   fixed by its isotypic projector element, and the components sum to x.
   The first checks the sweep against the projector elements, the second
@@ -28,6 +33,7 @@ that sweep.
 """
 from __future__ import annotations
 
+import functools
 import random
 
 from .combinatorics import (
@@ -64,80 +70,62 @@ def properties(
 ):
     """The named properties at degree n as [(name, fn)], all drawing from
     the one rng; each trial draws its tensor dimension from dims, and each
-    fn returns its number of checks, or None at the first failure."""
+    fn returns its number of checks, or None at the first failing trial."""
     partitions = enumerate_partitions(n)
     projectors = {lam: isotypic_projector(lam, max_n) for lam in partitions}
     perms = list(enumerate_permutations(n, max_n))
 
-    def right_action_law() -> int | None:
-        checks = 0
-        for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            x = tensor_add(
-                decomposable(fam),
-                decomposable(random_family(rng, n, fam.dim)),
-            )
-            s, t = rng.choice(perms), rng.choice(perms)
-            if not tensor_equal(act(act(x, s), t), act(x, compose(s, t))):
-                return None
-            checks += 1
-        return checks
+    def adversarial_family():
+        return random_family(rng, n, rng.choice(dims), adversarial=True)
 
-    def projector_idempotent_and_complete() -> int | None:
-        checks = 0
-        for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            x = decomposable(fam)
-            components = isotypic_components(x, max_n)
-            total = None
-            for lam in partitions:
-                once = components[lam]
-                if not tensor_equal(apply_element(once, projectors[lam]), once):
-                    return None
-                total = once if total is None else tensor_add(total, once)
-                checks += 1
-            if not tensor_equal(total, x):
-                return None
-        return checks
+    def right_action_law(trial: int) -> bool:
+        fam = adversarial_family()
+        x = tensor_add(decomposable(fam), decomposable(random_family(rng, n, fam.dim)))
+        s, t = rng.choice(perms), rng.choice(perms)
+        return tensor_equal(act(act(x, s), t), act(x, compose(s, t)))
 
-    def gamas_matches_oracle() -> int | None:
-        checks = 0
-        for _ in range(trials):
-            fam = random_family(rng, n, rng.choice(dims), adversarial=True)
-            components = isotypic_components(decomposable(fam), max_n)
-            for lam in partitions:
-                nonzero, witness = gamas_nonvanishing(fam, lam, max_n)
-                standard, _ = gamas_standard(fam, lam, max_n)
-                oracle_nonzero = not is_zero(components[lam])
-                if nonzero != oracle_nonzero or standard != nonzero:
-                    return None
-                if witness is not None and not columns_independent(fam, witness):
-                    return None
-                checks += 1
-        return checks
+    def projector_idempotent_and_complete(trial: int) -> bool:
+        x = decomposable(adversarial_family())
+        components = isotypic_components(x, max_n)
+        once = [components[lam] for lam in partitions]
+        return all(
+            tensor_equal(apply_element(c, projectors[lam]), c) for lam, c in zip(partitions, once)
+        ) and tensor_equal(functools.reduce(tensor_add, once), x)
 
-    def equality_matches_oracle() -> int | None:
-        checks = 0
-        for trial in range(trials):
-            dim = rng.choice(dims)
-            fv = random_family(rng, n, dim, adversarial=True)
-            if trial % 3 == 0:
-                fu = random_family(rng, n, dim, adversarial=True)
-            else:
-                fu = scaled_family(rng, fv, unit_product=(trial % 3 == 1))
-            cv = isotypic_components(decomposable(fv), max_n)
-            cu = isotypic_components(decomposable(fu), max_n)
-            for lam in partitions:
-                verdict = decide_equality(fv, fu, lam, max_n)
-                oracle = tensor_equal(cv[lam], cu[lam])
-                if verdict.equal != oracle:
-                    return None
-                checks += 1
-        return checks
+    def gamas_matches_oracle(trial: int) -> bool:
+        fam = adversarial_family()
+        components = isotypic_components(decomposable(fam), max_n)
+        for lam in partitions:
+            nonzero, witness = gamas_nonvanishing(fam, lam, max_n)
+            standard, _ = gamas_standard(fam, lam, max_n)
+            if nonzero != (not is_zero(components[lam])) or standard != nonzero:
+                return False
+            if witness is not None and not columns_independent(fam, witness):
+                return False
+        return True
+
+    def equality_matches_oracle(trial: int) -> bool:
+        fv = adversarial_family()
+        if trial % 3 == 0:
+            fu = random_family(rng, n, fv.dim, adversarial=True)
+        else:
+            fu = scaled_family(rng, fv, unit_product=(trial % 3 == 1))
+        cv = isotypic_components(decomposable(fv), max_n)
+        cu = isotypic_components(decomposable(fu), max_n)
+        return all(
+            decide_equality(fv, fu, lam, max_n).equal == tensor_equal(cv[lam], cu[lam])
+            for lam in partitions
+        )
+
+    def run(check, checks_per_trial: int) -> int | None:
+        return trials * checks_per_trial if all(map(check, range(trials))) else None
 
     return [
-        ("right_action_law", right_action_law),
-        ("projector_idempotent_and_complete", projector_idempotent_and_complete),
-        ("gamas_matches_oracle", gamas_matches_oracle),
-        ("equality_matches_oracle", equality_matches_oracle),
+        (check.__name__, functools.partial(run, check, checks_per_trial))
+        for check, checks_per_trial in (
+            (right_action_law, 1),
+            (projector_idempotent_and_complete, len(partitions)),
+            (gamas_matches_oracle, len(partitions)),
+            (equality_matches_oracle, len(partitions)),
+        )
     ]

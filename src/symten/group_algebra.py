@@ -21,6 +21,7 @@ from .combinatorics import (
     Part,
     Perm,
     Rows,
+    SizeLimitError,
     check_limit,
     col_group,
     compose,
@@ -113,37 +114,42 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
     return GroupAlgebraElement(x.degree, terms)
 
 
-def row_symmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
+def row_symmetrizer(rows: Rows) -> GroupAlgebraElement:
     """Sum over the row group of the tableau, all coefficients 1."""
     n = sum(tableau_shape(rows))
     return GroupAlgebraElement._nonzero(
-        n, {p: Fraction(1) for p in row_group(rows, max_n)}
+        n, {p: Fraction(1) for p in row_group(rows)}
     )
 
 
-def column_antisymmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
+def column_antisymmetrizer(rows: Rows) -> GroupAlgebraElement:
     """Signed sum over the column group of the tableau."""
     n = sum(tableau_shape(rows))
     return GroupAlgebraElement._nonzero(
-        n, {p: Fraction(sign(p)) for p in col_group(rows, max_n)}
+        n, {p: Fraction(sign(p)) for p in col_group(rows)}
     )
 
 
-def young_symmetrizer(rows: Rows, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
+def young_symmetrizer(rows: Rows) -> GroupAlgebraElement:
     """The product: column antisymmetrizer times row symmetrizer."""
-    return ga_multiply(
-        column_antisymmetrizer(rows, max_n), row_symmetrizer(rows, max_n)
-    )
+    return ga_multiply(column_antisymmetrizer(rows), row_symmetrizer(rows))
 
 
 @functools.cache
 def _class_indices(n: int) -> bytes:
     """Each permutation's position of its cycle type in enumerate_partitions(n).
 
-    One byte per permutation, in enumerate_permutations order (n! bytes);
-    every n <= 16 has at most 231 partitions.  Built once per degree.
+    One byte per permutation, in enumerate_permutations order (n! bytes),
+    built once per degree.  A byte holds the 231 classes of n = 16 but not
+    the 297 of n = 17, so above 16 this raises SizeLimitError at once.
     """
-    position = {ct: i for i, ct in enumerate(enumerate_partitions(n))}
+    classes = enumerate_partitions(n)
+    if len(classes) > 256:
+        raise SizeLimitError(
+            f"degree {n} has {len(classes)} conjugacy classes, more than the 256 "
+            "of the class table (degree 16 at most)"
+        )
+    position = {ct: i for i, ct in enumerate(classes)}
     return bytes(position[cycle_type(p)] for p in enumerate_permutations(n, n))
 
 
@@ -181,10 +187,10 @@ def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
     return GroupAlgebraElement._nonzero(n, terms)
 
 
-def sum_young_symmetrizers(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
+def sum_young_symmetrizers(lam: Part) -> GroupAlgebraElement:
     """Sum of the Young symmetrizers over all fillings of lam."""
     lam = tuple(lam)
     total = zero_element(sum(lam))
-    for rows in enumerate_fillings(lam, max_n):
-        total = total + young_symmetrizer(rows, max_n)
+    for rows in enumerate_fillings(lam):
+        total = total + young_symmetrizer(rows)
     return total

@@ -213,6 +213,22 @@ def test_exit_code_limit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])
+def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
+    # S_17 has 297 conjugacy classes, more than the one-byte class table holds
+    instance = tmp_path / "n17.json"
+    instance.write_text(json.dumps({"dim": 2, "lambda": [17], "v": [["1", "0"]] * 17}))
+    argv = {
+        "symmetrize": ["symmetrize", "--input", str(instance)],
+        "selfcheck": ["selfcheck", "--n", "17", "--trials", "0"],
+    }[command]
+    assert cli.main([*argv, "--max-n", "17"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree 17 has 297 conjugacy classes")
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_malformed_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gamas", "--no-such-flag"])

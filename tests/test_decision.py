@@ -426,3 +426,43 @@ def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, target, br
     monkeypatch.setattr(crosscheck, target, broken)
     prop = dict(crosscheck.properties(3, 6, random.Random(1)))[name]
     assert prop() is None
+
+
+def test_crosscheck_zero_trials_check_nothing_and_draw_nothing():
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert [prop() for _, prop in crosscheck.properties(3, 0, rng)] == [0, 0, 0, 0]
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "name,target,broken,calls_per_trial",
+    [
+        ("right_action_law", "tensor_equal", lambda x, y: False, 1),
+        ("projector_idempotent_and_complete", "tensor_equal", lambda x, y: False, 4),
+        ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x), 3),
+        ("equality_matches_oracle", "decide_equality", _flip_verdict, 3),
+    ],
+    ids=["action", "projector", "gamas", "equality"],
+)
+def test_crosscheck_property_catches_a_fault_in_its_last_trial(
+    monkeypatch, name, target, broken, calls_per_trial
+):
+    trials = 4
+    real = getattr(crosscheck, target)
+    calls, healthy = 0, math.inf
+
+    def late_fault(*args):
+        nonlocal calls
+        calls += 1
+        return (broken if calls > healthy else real)(*args)
+
+    def run():
+        return dict(crosscheck.properties(3, trials, random.Random(1)))[name]()
+
+    monkeypatch.setattr(crosscheck, target, late_fault)
+    assert run() is not None
+    assert calls == trials * calls_per_trial
+    # the calls of the first trials - 1 trials go right, every later one wrong
+    calls, healthy = 0, (trials - 1) * calls_per_trial
+    assert run() is None
