@@ -15,6 +15,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterator
 
 from .combinatorics import (
     DEFAULT_MAX_N,
@@ -136,12 +138,10 @@ def young_symmetrizer(rows: Rows) -> GroupAlgebraElement:
 
 
 @functools.cache
-def _class_indices(n: int) -> bytes:
-    """Each permutation's position of its cycle type in enumerate_partitions(n).
-
-    One byte per permutation, in enumerate_permutations order (n! bytes),
-    built once per degree.  A byte holds the 231 classes of n = 16 but not
-    the 297 of n = 17, so above 16 this raises SizeLimitError at once.
+def _class_table(n: int) -> tuple[bytes, ...]:
+    """S_n by class in enumerate_partitions(n) order: each class's permutations
+    in enumerate_permutations order, flat, n bytes each.  Degrees above 16
+    (over 256 classes) raise SizeLimitError at once, whatever max_n allowed.
     """
     classes = enumerate_partitions(n)
     if len(classes) > 256:
@@ -149,8 +149,15 @@ def _class_indices(n: int) -> bytes:
             f"degree {n} has {len(classes)} conjugacy classes, more than the 256 "
             "of the class table (degree 16 at most)"
         )
-    position = {ct: i for i, ct in enumerate(classes)}
-    return bytes(position[cycle_type(p)] for p in enumerate_permutations(n, n))
+    table = {ct: bytearray() for ct in classes}
+    for p in enumerate_permutations(n, n):
+        table[cycle_type(p)] += bytes(p)
+    return tuple(map(bytes, table.values()))
+
+
+def _members(flat: bytes, n: int) -> Iterator[Perm]:
+    """The permutations of one class of `_class_table(n)`; S_0's has no bytes."""
+    return zip(*[iter(flat)] * n) if n else iter([()])
 
 
 def _class_weights(lam: Part, classes: list[Part]) -> tuple[Fraction, list[int]]:
@@ -167,23 +174,20 @@ def _class_weights(lam: Part, classes: list[Part]) -> tuple[Fraction, list[int]]
 def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
     """The central idempotent projecting onto the isotypic component of lam.
 
-    Coefficient of sigma is the `_class_weights` weight of sigma's class;
-    the weight is computed once per cycle type and shared by the class,
-    and classes where the character vanishes are left out.  Each
-    permutation's class is read from a table of n! bytes built by the
-    first projector of each degree in a process, so that first build
-    costs what computing every cycle type costs and later ones skip it.
+    Coefficient of sigma is the `_class_weights` weight of sigma's class,
+    classes of character 0 left out.  Terms go in class by class from
+    `_class_table(n)`, one shared `Fraction` per character value, so the
+    runs `apply_element` scales once each are found mostly by identity.
     """
     lam = tuple(lam)
     n = sum(lam)
     check_limit(n, max_n)
     scale, chis = _class_weights(lam, enumerate_partitions(n))
-    weights = [scale * chi if chi else None for chi in chis]
-    terms = {
-        p: weight
-        for p, k in zip(enumerate_permutations(n, max_n), _class_indices(n))
-        if (weight := weights[k]) is not None
-    }
+    weights = {chi: scale * chi for chi in set(chis) if chi}
+    terms: dict[Perm, Fraction] = {}
+    for chi, flat in zip(chis, _class_table(n)):
+        if chi:
+            terms.update(zip(_members(flat, n), repeat(weights[chi])))
     return GroupAlgebraElement._nonzero(n, terms)
 
 

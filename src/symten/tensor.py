@@ -7,22 +7,15 @@ to nonzero rationals; equality of tensors is equality of entry maps.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .combinatorics import (
-    DEFAULT_MAX_N,
-    Part,
-    Perm,
-    check_limit,
-    enumerate_partitions,
-    enumerate_permutations,
-)
-from .group_algebra import GroupAlgebraElement, _class_indices, _class_weights
+from .combinatorics import DEFAULT_MAX_N, Part, Perm, check_limit, enumerate_partitions
+from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _members
 from .linalg import VectorFamily, _scaled, format_rational, parse_rational
 
 Index = tuple[int, ...]
@@ -86,6 +79,9 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
     return SparseTensor._nonzero(x.dim, x.order, entries)
 
 
+_BLOCK = 2048  # permutations per gather in `_permuted_sums`
+
+
 def _permuted_sums(
     x: SparseTensor,
     perms: Iterable[Perm],
@@ -96,19 +92,35 @@ def _permuted_sums(
     x acted on by sigma into sums, on integers; returns their denominator.
 
     `linalg._scaled` puts x's entries over one denominator d, so every term
-    is an `int` multiply-add and each sums holds numerators over d.
+    is an `int` multiply-add and each sums holds numerators over d.  Per
+    block of `_BLOCK` permutations (a bounded transient), one `itemgetter`
+    of all their images moves an entry by the whole block in one C call;
+    with fewer than three permutations per entry of x (small n, dense x)
+    the other way round is cheaper, one `itemgetter` per sigma.
     """
     coeffs, d_x = _scaled(x.entries.values())
+    n = x.order
     # a leading pad lets sigma's one-based images pick the slots directly
     padded = [(0, *index) for index in x.entries]
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
     unpad = itemgetter(slice(1, None))
-    for sigma, w, sums in zip(perms, weights, targets):
-        get = sums.get
-        move = itemgetter(*sigma) if x.order > 1 else unpad
-        for moved, c in zip(map(move, padded), coeffs):
-            sums[moved] = get(moved, 0) + w * c
+    perms, weights, targets = iter(perms), iter(weights), iter(targets)
+    while block := list(islice(perms, _BLOCK)):
+        block_weights = list(islice(weights, len(block)))
+        block_targets = list(islice(targets, len(block)))
+        if n < 2 or len(block) < 3 * len(padded):
+            for sigma, w, sums in zip(block, block_weights, block_targets):
+                get = sums.get
+                move = itemgetter(*sigma) if n > 1 else unpad
+                for word, c in zip(map(move, padded), coeffs):
+                    sums[word] = get(word, 0) + w * c
+            continue
+        gather = itemgetter(*chain.from_iterable(block))
+        for entry, c in zip(padded, coeffs):
+            words = zip(*[iter(gather(entry))] * n)
+            for word, w, sums in zip(words, block_weights, block_targets):
+                sums[word] = sums.get(word, 0) + w * c
     return d_x
 
 
@@ -119,12 +131,16 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     to integers over one denominator each, so every term is an `int`
     multiply-add, and each nonzero sum is divided by the product of the two
     denominators once, at the end.  The result equals the `Fraction` sum.
+    Only one weight per run of equal adjacent terms is scaled: a projector
+    has one run per class, or per string of classes with one character value.
     """
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
-    weights, d_g = _scaled(g.terms.values())
+    runs = [(w, len(list(run))) for w, run in groupby(g.terms.values())]
+    scaled, d_g = _scaled([w for w, _ in runs])
+    weights = chain.from_iterable(map(repeat, scaled, [k for _, k in runs]))
     sums: dict[Index, int] = {}
-    d_x = _permuted_sums(x, g.terms, weights, itertools.repeat(sums))
+    d_x = _permuted_sums(x, g.terms, weights, repeat(sums))
     d = d_g * d_x
     return SparseTensor._nonzero(
         x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
@@ -138,20 +154,20 @@ def isotypic_components(
 
     Equals `apply_element(x, isotypic_projector(lam))` for each lam, from
     one sweep over S_n instead of one per lam: each projector is a
-    combination of the class sums C_k (see `_class_weights`), so the
-    sweep collects every C_k x as integer sums over x's denominator, and
-    each component adds them up with the integer character values.
+    combination of the class sums C_k (see `_class_weights`), so the sweep
+    walks `_class_table(n)` class by class into one target per class,
+    collecting every C_k x as integer sums over x's denominator, and each
+    component adds them up with the integer character values.
     """
     n = x.order
     check_limit(n, max_n)
+    table = _class_table(n)
     shapes = enumerate_partitions(n)
     class_sums: list[dict[Index, int]] = [{} for _ in shapes]
-    d_x = _permuted_sums(
-        x,
-        enumerate_permutations(n, max_n),
-        itertools.repeat(1),
-        map(class_sums.__getitem__, _class_indices(n)),
-    )
+    perms = chain.from_iterable(_members(flat, n) for flat in table)
+    sizes = [len(flat) // n for flat in table] if n else [1]
+    targets = chain.from_iterable(map(repeat, class_sums, sizes))
+    d_x = _permuted_sums(x, perms, repeat(1), targets)
     # one row of class sums per index any class reaches
     indices = list(set().union(*class_sums))
     rows = [[sums.get(i, 0) for sums in class_sums] for i in indices]

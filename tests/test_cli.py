@@ -27,6 +27,7 @@ GOLDEN_CASES = [
     ("equal", "equal_both_vanish"),
     ("symmetrize", "symmetrize_basis"),
     ("symmetrize", "symmetrize_vanishing"),
+    ("symmetrize", "symmetrize_n8"),
 ]
 
 # the argv of every file in tests/golden/, which CI also runs under python -O
@@ -96,7 +97,7 @@ def test_golden_commands_repeat_in_process(capsys):
     assert {name for _, name in GOLDEN_COMMANDS} == {p.stem for p in GOLDEN.glob("*.json")}
     # the first round starts cold, the second hits every per-process cache
     cli.build_parser.cache_clear()
-    group_algebra._class_indices.cache_clear()
+    group_algebra._class_table.cache_clear()
     characters.mn_character.cache_clear()
     for _ in range(2):
         for argv, name in GOLDEN_COMMANDS:

@@ -15,7 +15,8 @@ from symten.combinatorics import (
 )
 from symten.group_algebra import (
     GroupAlgebraElement,
-    _class_indices,
+    _class_table,
+    _members,
     basis_element,
     column_antisymmetrizer,
     ga_multiply,
@@ -121,14 +122,32 @@ def test_isotypic_projector_matches_per_permutation_formula(n):
         assert len({id(w) for w in terms.values()}) <= len(partitions)
 
 
+# the class table: every permutation once, under the index of its class,
+# in permutation order within each class
 @pytest.mark.parametrize("n", range(8))
 def test_class_indices_follow_permutation_order(n):
     partitions = enumerate_partitions(n)
-    table = _class_indices(n)
-    perms = list(enumerate_permutations(n))
-    assert len(table) == len(perms)
-    for p, k in zip(perms, table):
-        assert k == partitions.index(cycle_type(p))
+    table = _class_table(n)
+    assert len(table) == len(partitions)
+    seen = []
+    for ct, flat in zip(partitions, table):
+        members = list(_members(flat, n))
+        assert bytes(i for p in members for i in p) == flat
+        assert all(cycle_type(p) == ct for p in members)
+        assert members == sorted(members)
+        seen += members
+    assert sorted(seen) == list(enumerate_permutations(n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_projector_terms_come_class_by_class(n):
+    partitions = enumerate_partitions(n)
+    for lam in partitions:
+        terms = isotypic_projector(lam).terms
+        classes = [partitions.index(cycle_type(p)) for p in terms]
+        assert classes == sorted(classes)
+        # one shared Fraction per distinct weight
+        assert len({id(w) for w in terms.values()}) == len(set(terms.values()))
 
 
 def test_projectors_of_one_degree_share_one_class_table(monkeypatch):
@@ -141,7 +160,7 @@ def test_projectors_of_one_degree_share_one_class_table(monkeypatch):
 
     monkeypatch.setattr(combinatorics, "cycle_type", counted)
     monkeypatch.setattr(group_algebra, "cycle_type", counted)
-    _class_indices.cache_clear()
+    _class_table.cache_clear()
     isotypic_projector((4, 2, 2), max_n=8)
     first = calls
     isotypic_projector((5, 3), max_n=8)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symten import crosscheck
+from symten import crosscheck, tensor
+from symten.characters import mn_character
 from symten.combinatorics import SizeLimitError, enumerate_partitions, identity
 from symten.group_algebra import (
     GroupAlgebraElement,
@@ -19,9 +20,10 @@ from symten.group_algebra import (
     young_symmetrizer,
     zero_element,
 )
-from symten.linalg import VectorFamily
+from symten.linalg import VectorFamily, _scaled
 from symten.sampling import random_family
 from symten.tensor import (
+    _BLOCK,
     SparseTensor,
     act,
     apply_element,
@@ -251,6 +253,73 @@ def test_apply_element_matches_fraction_reference(case):
     assert (result.dim, result.order) == (x.dim, x.order)
     assert result.entries == _reference_apply(x, g)
     assert all(type(c) is F for c in result.entries.values())
+
+
+@st.composite
+def _tableau_elements(draw):
+    """A column antisymmetrizer or Young symmetrizer of a random filling of
+    order 0 to 5, scaled: equal weights that need not sit next to each other."""
+    order = draw(st.integers(0, 5))
+    lam = draw(st.sampled_from(enumerate_partitions(order)))
+    labels = iter(draw(st.permutations(range(1, order + 1))))
+    rows = tuple(tuple(itertools.islice(labels, part)) for part in lam)
+    make = draw(st.sampled_from([column_antisymmetrizer, young_symmetrizer]))
+    return make(rows).scale(draw(_rationals.filter(bool)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tableau_elements(), st.data())
+@example(column_antisymmetrizer(((1, 2), (3, 4))), None)
+@example(young_symmetrizer(()), None)
+@example(young_symmetrizer(((1,),)), None)
+def test_apply_element_matches_fraction_reference_on_tableau_elements(g, data):
+    dim = 2
+    if data is None:
+        x = SparseTensor(dim, g.degree, {(1,) * g.degree: F(-5, 6)})
+    else:
+        index = st.tuples(*[st.integers(1, dim)] * g.degree)
+        entries = data.draw(st.dictionaries(index, _rationals, max_size=8))
+        x = SparseTensor(dim, g.degree, entries)
+    assert apply_element(x, g).entries == _reference_apply(x, g)
+    assert is_zero(apply_element(zero_tensor(dim, g.degree), g))
+
+
+def test_apply_element_of_a_degree_7_projector_across_blocks():
+    g = isotypic_projector((4, 2, 1), max_n=7)
+    # some run of equal adjacent weights crosses a block of the kernel
+    runs = itertools.groupby(g.terms.values())
+    ends = list(itertools.accumulate(len(list(run)) for _, run in runs))
+    assert any(a < k * _BLOCK < b for a, b in zip([0] + ends, ends) for k in (1, 2))
+    # every index with at most two 2s: dense in those weight spaces, with
+    # mixed denominators
+    rng = random.Random(7)
+    x = SparseTensor(2, 7, {
+        index: F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+        for index in itertools.product((1, 2), repeat=7)
+        if index.count(2) <= 2
+    })
+    assert len(x.entries) == 29
+    assert apply_element(x, g).entries == _reference_apply(x, g)
+
+
+def test_projector_weights_are_scaled_once_per_run(monkeypatch):
+    scaled = []
+
+    def recorded(values):
+        scaled.append(len(values))
+        return _scaled(values)
+
+    monkeypatch.setattr(tensor, "_scaled", recorded)
+    x = SparseTensor(3, 6, {(1, 2, 1, 3, 1, 1): F(2, 3), (2, 2, 1, 1, 3, 1): F(-1, 4)})
+    classes = enumerate_partitions(6)
+    for lam in classes:
+        chis = [chi for chi in (mn_character(lam, ct) for ct in classes) if chi]
+        scaled.clear()
+        apply_element(x, isotypic_projector(lam))
+        # one weight per run of classes with one character value, and x's
+        # two entries: not one weight per permutation
+        runs = len(list(itertools.groupby(chis)))
+        assert sorted(scaled) == sorted([runs, 2]), lam
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5])
