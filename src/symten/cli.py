@@ -186,6 +186,14 @@ def verdict_json(verdict: EqualityVerdict) -> dict:
     return obj
 
 
+def _formatted(to_json, result) -> dict:
+    try:
+        return to_json(result)
+    except ValueError as exc:  # a numeral past Python's int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SizeLimitError(f"a numeral of the result has over {limit} digits") from exc
+
+
 def cmd_gamas(args) -> int:
     lam, fv, _ = load_instance(args.input)
     nonzero, system = gamas_nonvanishing(fv, lam, args.max_n)
@@ -213,7 +221,7 @@ def cmd_gamas(args) -> int:
 def cmd_equal(args) -> int:
     lam, fv, fu = load_instance(args.input, require_u=True)
     verdict = decide_equality(fv, fu, lam, args.max_n, args.exhaustive_failures)
-    _emit(verdict_json(verdict), args.output)
+    _emit(_formatted(verdict_json, verdict), args.output)
     return EXIT_OK
 
 
@@ -224,7 +232,7 @@ def cmd_symmetrize(args) -> int:
     if args.shape_only:
         obj = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
     else:
-        obj = to_json_obj(result)
+        obj = _formatted(to_json_obj, result)
     _emit(obj, args.output)
     return EXIT_OK
 

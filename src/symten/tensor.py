@@ -19,10 +19,7 @@ from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _m
 from .linalg import VectorFamily, _scaled, format_rational, parse_rational
 
 Index = tuple[int, ...]
-
-
-def _canonical(entries: dict[Index, Fraction]) -> dict[Index, Fraction]:
-    return {i: c for i, c in entries.items() if c}
+_Run = tuple[Iterable[Perm], int, dict[Index, int]]
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,7 @@ class SparseTensor:
     entries: dict[Index, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _canonical(self.entries))
+        object.__setattr__(self, "entries", {i: c for i, c in self.entries.items() if c})
 
     @classmethod
     def _nonzero(
@@ -82,21 +79,16 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
 _BLOCK = 2048  # permutations per gather in `_permuted_sums`
 
 
-def _permuted_sums(
-    x: SparseTensor,
-    perms: Iterable[Perm],
-    weights: Iterable[int],
-    targets: Iterable[dict[Index, int]],
-) -> int:
-    """For each sigma, w, sums of zip(perms, weights, targets), add w times
-    x acted on by sigma into sums, on integers; returns their denominator.
+def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
+    """For each run (perms, w, sums), add w times x acted on by each sigma
+    in perms into sums, on integers; returns their denominator.
 
-    `linalg._scaled` puts x's entries over one denominator d, so every term
-    is an `int` multiply-add and each sums holds numerators over d.  Per
-    block of `_BLOCK` permutations (a bounded transient), one `itemgetter`
-    of all their images moves an entry by the whole block in one C call;
-    with fewer than three permutations per entry of x (small n, dense x)
-    the other way round is cheaper, one `itemgetter` per sigma.
+    `linalg._scaled` puts x's entries over one denominator d, so each sums
+    holds numerators over d, and w times an entry is one `int` product per
+    run.  A run's permutations go in blocks of `_BLOCK` (a bounded
+    transient): one `itemgetter` of a block's images moves an entry by the
+    whole block in one C call; with fewer than three permutations per entry
+    of x (small n, dense x, short run) one `itemgetter` per sigma is cheaper.
     """
     coeffs, d_x = _scaled(x.entries.values())
     n = x.order
@@ -105,22 +97,21 @@ def _permuted_sums(
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
     unpad = itemgetter(slice(1, None))
-    perms, weights, targets = iter(perms), iter(weights), iter(targets)
-    while block := list(islice(perms, _BLOCK)):
-        block_weights = list(islice(weights, len(block)))
-        block_targets = list(islice(targets, len(block)))
-        if n < 2 or len(block) < 3 * len(padded):
-            for sigma, w, sums in zip(block, block_weights, block_targets):
-                get = sums.get
-                move = itemgetter(*sigma) if n > 1 else unpad
-                for word, c in zip(map(move, padded), coeffs):
-                    sums[word] = get(word, 0) + w * c
-            continue
-        gather = itemgetter(*chain.from_iterable(block))
-        for entry, c in zip(padded, coeffs):
-            words = zip(*[iter(gather(entry))] * n)
-            for word, w, sums in zip(words, block_weights, block_targets):
-                sums[word] = sums.get(word, 0) + w * c
+    for perms, w, sums in runs:
+        terms = [w * c for c in coeffs]
+        get = sums.get
+        perms = iter(perms)
+        while block := list(islice(perms, _BLOCK)):
+            if n < 2 or len(block) < 3 * len(padded):
+                for sigma in block:
+                    move = itemgetter(*sigma) if n > 1 else unpad
+                    for word, t in zip(map(move, padded), terms):
+                        sums[word] = get(word, 0) + t
+                continue
+            gather = itemgetter(*chain.from_iterable(block))
+            for entry, t in zip(padded, terms):
+                for word in zip(*[iter(gather(entry))] * n):
+                    sums[word] = get(word, 0) + t
     return d_x
 
 
@@ -128,20 +119,21 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     """Apply a group-algebra element: the weighted sum of permuted copies.
 
     Exact, on integers: `linalg._scaled` scales the weights and the entries
-    to integers over one denominator each, so every term is an `int`
-    multiply-add, and each nonzero sum is divided by the product of the two
+    to integers over one denominator each, so the sums are `int`
+    arithmetic, and each nonzero sum is divided by the product of the two
     denominators once, at the end.  The result equals the `Fraction` sum.
-    Only one weight per run of equal adjacent terms is scaled: a projector
-    has one run per class, or per string of classes with one character value.
+    The terms go to the kernel as runs of equal adjacent weights, one
+    scaled weight each: a projector has one run per class, or per string
+    of classes with one character value.
     """
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
     runs = [(w, len(list(run))) for w, run in groupby(g.terms.values())]
     scaled, d_g = _scaled([w for w, _ in runs])
-    weights = chain.from_iterable(map(repeat, scaled, [k for _, k in runs]))
+    perms = iter(g.terms)
+    slices = [islice(perms, k) for _, k in runs]
     sums: dict[Index, int] = {}
-    d_x = _permuted_sums(x, g.terms, weights, repeat(sums))
-    d = d_g * d_x
+    d = d_g * _permuted_sums(x, zip(slices, scaled, repeat(sums)))
     return SparseTensor._nonzero(
         x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
     )
@@ -154,20 +146,17 @@ def isotypic_components(
 
     Equals `apply_element(x, isotypic_projector(lam))` for each lam, from
     one sweep over S_n instead of one per lam: each projector is a
-    combination of the class sums C_k (see `_class_weights`), so the sweep
-    walks `_class_table(n)` class by class into one target per class,
-    collecting every C_k x as integer sums over x's denominator, and each
-    component adds them up with the integer character values.
+    combination of the class sums C_k (see `_class_weights`), so each class
+    of `_class_table(n)` is one run of weight 1 into its own target: the
+    sweep collects every C_k x as integer sums over x's denominator, and
+    each component adds them up with the integer character values.
     """
     n = x.order
     check_limit(n, max_n)
-    table = _class_table(n)
     shapes = enumerate_partitions(n)
     class_sums: list[dict[Index, int]] = [{} for _ in shapes]
-    perms = chain.from_iterable(_members(flat, n) for flat in table)
-    sizes = [len(flat) // n for flat in table] if n else [1]
-    targets = chain.from_iterable(map(repeat, class_sums, sizes))
-    d_x = _permuted_sums(x, perms, repeat(1), targets)
+    classes = (_members(flat, n) for flat in _class_table(n))
+    d_x = _permuted_sums(x, zip(classes, repeat(1), class_sums))
     # one row of class sums per index any class reaches
     indices = list(set().union(*class_sums))
     rows = [[sums.get(i, 0) for sums in class_sums] for i in indices]

@@ -216,7 +216,7 @@ def test_exit_code_limit(capsys):
 
 @pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])
 def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
-    # S_17 has 297 conjugacy classes, more than the one-byte class table holds
+    # S_17 has 297 conjugacy classes, more than the 256 the class table allows
     instance = tmp_path / "n17.json"
     instance.write_text(json.dumps({"dim": 2, "lambda": [17], "v": [["1", "0"]] * 17}))
     argv = {
@@ -300,6 +300,37 @@ def write_instance(tmp_path, text):
 def test_non_rational_inputs_exit_2(capsys, tmp_path, text):
     assert cli.main(["gamas", "--input", write_instance(tmp_path, text)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_BIG = "7" * 3000  # an accepted input numeral whose square is past 4,300 digits
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv,instance",
+    [
+        (["symmetrize"], {"dim": 2, "lambda": [2], "v": [[_BIG, "1"], [_BIG, "2"]]}),
+        (
+            ["equal", "--exhaustive-failures"],
+            {
+                "dim": 2,
+                "lambda": [1, 1],
+                "v": [[_BIG, "0"], ["0", _BIG]],
+                "u": [["1", "0"], ["0", "1"]],
+            },
+        ),
+    ],
+    ids=["symmetrize", "equal"],
+)
+def test_result_numerals_past_the_digit_limit_exit_3(capsys, tmp_path, argv, instance):
+    path = write_instance(tmp_path, json.dumps(instance))
+    assert cli.main([*argv, "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: a numeral of the result has over {limit} digits\n"
 
 
 def test_integer_entries_accepted(capsys, tmp_path):

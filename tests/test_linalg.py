@@ -180,6 +180,9 @@ def test_transition_scalar_rejects_dependent_selections():
         span_equal(dependent, {1, 2}, independent, {2})
     with pytest.raises(ValueError, match="independent"):
         transition_scalar(independent, {1}, dependent, {1, 2})
+    # independent selections in different ambient dimensions
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        transition_scalar(independent, {1}, fam((1, 0)), {1})
 
 
 def _random_independent(rng, dim, count):

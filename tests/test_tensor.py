@@ -285,11 +285,14 @@ def test_apply_element_matches_fraction_reference_on_tableau_elements(g, data):
 
 
 def test_apply_element_of_a_degree_7_projector_across_blocks():
-    g = isotypic_projector((4, 2, 1), max_n=7)
-    # some run of equal adjacent weights crosses a block of the kernel
-    runs = itertools.groupby(g.terms.values())
-    ends = list(itertools.accumulate(len(list(run)) for _, run in runs))
-    assert any(a < k * _BLOCK < b for a, b in zip([0] + ends, ends) for k in (1, 2))
+    # the projector of (7) has one run of 5,040 equal weights; perturbing
+    # every other permutation from position 2 * _BLOCK + 4 on leaves a first
+    # run of two full blocks and a block of four, then runs of one, then a
+    # last run gathered whole
+    p = isotypic_projector((7,), max_n=7)
+    perms = list(p.terms)
+    start = 2 * _BLOCK + 4
+    g = p + GroupAlgebraElement(7, {perms[start + 2 * i]: F(i + 1, 2) for i in range(20)})
     # every index with at most two 2s: dense in those weight spaces, with
     # mixed denominators
     rng = random.Random(7)
@@ -299,6 +302,11 @@ def test_apply_element_of_a_degree_7_projector_across_blocks():
         if index.count(2) <= 2
     })
     assert len(x.entries) == 29
+    runs = [len(list(run)) for _, run in itertools.groupby(g.terms.values())]
+    assert runs[0] == start
+    # blocks of fewer than three permutations per entry go one sigma at a time
+    assert start % _BLOCK < 3 * len(x.entries) and min(runs) < 3 * len(x.entries)
+    assert max(runs[1:]) >= 3 * len(x.entries)
     assert apply_element(x, g).entries == _reference_apply(x, g)
 
 
