@@ -24,8 +24,9 @@ that sweep.
   the column orthogonality of the character table.
 - gamas_matches_oracle: Gamas' theorem (Linear Algebra Appl. 108, 1988).
   The column-system scan, the standard-tableau scan and the swept
-  component agree on vanishing, and a witness system has independent
-  columns.
+  component agree on vanishing, a witness system has independent
+  columns, and a witness tableau is a standard tableau of the shape
+  with independent columns.
 - equality_matches_oracle: the da Cruz-Dias da Silva column-system
   conditions agree with comparing the two families' swept components.
 
@@ -38,9 +39,14 @@ import random
 
 from .combinatorics import (
     DEFAULT_MAX_N,
+    Part,
+    Rows,
+    column_system_of,
     compose,
     enumerate_partitions,
     enumerate_permutations,
+    is_filling,
+    tableau_shape,
 )
 from .decision import (
     columns_independent,
@@ -49,6 +55,7 @@ from .decision import (
     gamas_standard,
 )
 from .group_algebra import isotypic_projector
+from .linalg import VectorFamily
 from .sampling import random_family, scaled_family
 from .tensor import (
     act,
@@ -59,6 +66,18 @@ from .tensor import (
     tensor_add,
     tensor_equal,
 )
+
+
+def _standard_witness(family: VectorFamily, lam: Part, rows: Rows) -> bool:
+    """Whether rows is a standard tableau of shape lam (1..n, rows and
+    columns strictly increasing) whose columns index independent vectors."""
+    return (
+        tableau_shape(rows) == lam
+        and is_filling(rows)
+        and all(a < b for row in rows for a, b in zip(row, row[1:]))
+        and all(a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
+        and columns_independent(family, column_system_of(rows))
+    )
 
 
 def properties(
@@ -97,10 +116,12 @@ def properties(
         components = isotypic_components(decomposable(fam), max_n)
         for lam in partitions:
             nonzero, witness = gamas_nonvanishing(fam, lam, max_n)
-            standard, _ = gamas_standard(fam, lam, max_n)
+            standard, tableau = gamas_standard(fam, lam, max_n)
             if nonzero != (not is_zero(components[lam])) or standard != nonzero:
                 return False
             if witness is not None and not columns_independent(fam, witness):
+                return False
+            if tableau is not None and not _standard_witness(fam, lam, tableau):
                 return False
         return True
 

@@ -394,6 +394,13 @@ def _components_of_next_shape(x, max_n):
     return {lam: components[shapes[(k + 1) % len(shapes)]] for k, lam in enumerate(shapes)}
 
 
+def _reversed_rows(fam, lam, max_n):
+    """The right standard-scan verdict with each row of its witness
+    reversed: a tableau of the shape, but not a standard one."""
+    standard, rows = gamas_standard(fam, lam, max_n)
+    return standard, rows and tuple(row[::-1] for row in rows)
+
+
 def _flip_verdict(fv, fu, lam, max_n):
     verdict = decide_equality(fv, fu, lam, max_n)
     return dataclasses.replace(verdict, equal=not verdict.equal)
@@ -408,6 +415,7 @@ def _flip_verdict(fv, fu, lam, max_n):
          lambda n: enumerate_partitions(n)[:-1]),
         ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x)),
         ("gamas_matches_oracle", "gamas_standard", lambda fam, lam, max_n: (False, None)),
+        ("gamas_matches_oracle", "gamas_standard", _reversed_rows),
         ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
         ("equality_matches_oracle", "decide_equality", _flip_verdict),
         ("projector_idempotent_and_complete", "isotypic_components",
@@ -418,7 +426,8 @@ def _flip_verdict(fv, fu, lam, max_n):
         ("equality_matches_oracle", "isotypic_components", _components_without_identity),
         ("equality_matches_oracle", "isotypic_components", _components_of_next_shape),
     ],
-    ids=["action", "idempotent", "complete", "oracle", "standard", "witness", "equality",
+    ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
+         "witness", "equality",
          "sweep-class-idempotent", "sweep-shape-idempotent", "sweep-class-gamas",
          "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality"],
 )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from symten.characters import mn_character
 from symten.combinatorics import SizeLimitError, enumerate_partitions, identity
 from symten.group_algebra import (
     GroupAlgebraElement,
+    _members,
     basis_element,
     column_antisymmetrizer,
     ga_multiply,
@@ -23,7 +25,6 @@ from symten.group_algebra import (
 from symten.linalg import VectorFamily, _scaled
 from symten.sampling import random_family
 from symten.tensor import (
-    _BLOCK,
     SparseTensor,
     act,
     apply_element,
@@ -284,14 +285,35 @@ def test_apply_element_matches_fraction_reference_on_tableau_elements(g, data):
     assert is_zero(apply_element(zero_tensor(dim, g.degree), g))
 
 
-def test_apply_element_of_a_degree_7_projector_across_blocks():
+def _record_paths(monkeypatch):
+    """The kernel's path per run, as it takes them: ("count", k) for each
+    entry of x on a counted run of k permutations, ("walk", k) for a run of
+    k permutations walked one sigma at a time."""
+    paths = []
+
+    def count(images):
+        counts = Counter(images)
+        paths.append(("count", sum(counts.values())))
+        return counts
+
+    def walk(flat, n):
+        paths.append(("walk", len(flat) // n if n else 1))
+        return _members(flat, n)
+
+    monkeypatch.setattr(tensor, "Counter", count)
+    monkeypatch.setattr(tensor, "_members", walk)
+    return paths
+
+
+def test_apply_element_of_a_degree_7_projector_mixes_counted_and_per_sigma_runs(
+    monkeypatch,
+):
     # the projector of (7) has one run of 5,040 equal weights; perturbing
-    # every other permutation from position 2 * _BLOCK + 4 on leaves a first
-    # run of two full blocks and a block of four, then runs of one, then a
-    # last run gathered whole
+    # every other permutation from position 100 on leaves a first run of
+    # 100, then runs of one, then a last run of 4,901
     p = isotypic_projector((7,), max_n=7)
     perms = list(p.terms)
-    start = 2 * _BLOCK + 4
+    start = 100
     g = p + GroupAlgebraElement(7, {perms[start + 2 * i]: F(i + 1, 2) for i in range(20)})
     # every index with at most two 2s: dense in those weight spaces, with
     # mixed denominators
@@ -303,11 +325,63 @@ def test_apply_element_of_a_degree_7_projector_across_blocks():
     })
     assert len(x.entries) == 29
     runs = [len(list(run)) for _, run in itertools.groupby(g.terms.values())]
-    assert runs[0] == start
-    # blocks of fewer than three permutations per entry go one sigma at a time
-    assert start % _BLOCK < 3 * len(x.entries) and min(runs) < 3 * len(x.entries)
-    assert max(runs[1:]) >= 3 * len(x.entries)
-    assert apply_element(x, g).entries == _reference_apply(x, g)
+    assert runs == [start] + [1] * 39 + [5040 - start - 39]
+    paths = _record_paths(monkeypatch)
+    result = apply_element(x, g)
+    # runs of at least three permutations per entry are counted, entry by
+    # entry; the runs of one go one sigma at a time
+    assert paths == [
+        step
+        for k in runs
+        for step in ([("count", k)] * 29 if k >= 3 * 29 else [("walk", k)])
+    ]
+    assert result.entries == _reference_apply(x, g)
+
+
+def _run_of(n, k, weight=F(-2, 7)):
+    """A group-algebra element of one run: the first k permutations of S_n
+    in enumeration order, with one weight."""
+    perms = itertools.islice(itertools.permutations(range(1, n + 1)), k)
+    return GroupAlgebraElement(n, dict.fromkeys(perms, weight))
+
+
+_EDGE_X = {(255, 1, 255, 7): F(2, 3), (3, 255, 255, 255): F(-1, 4)}
+
+
+@pytest.mark.parametrize(
+    "x,g,path",
+    [
+        # index 255 is the last a byte table holds: the run of 24 is counted
+        (SparseTensor(300, 4, _EDGE_X), isotypic_projector((4,)), "count"),
+        (SparseTensor(300, 4, {**_EDGE_X, (1, 256, 2, 1): F(5)}), isotypic_projector((4,)),
+         "walk"),
+        # exactly three permutations per entry is counted; one fewer is not
+        (SparseTensor(300, 4, _EDGE_X), _run_of(4, 6), "count"),
+        (SparseTensor(300, 4, _EDGE_X), _run_of(4, 5), "walk"),
+        # S_0 and S_1 hold only the identity
+        (SparseTensor(2, 0, {(): F(-3, 4)}), unit(0).scale(F(2, 3)), "walk"),
+        (SparseTensor(300, 1, {(7,): F(1, 2), (256,): F(2, 3)}), unit(1).scale(5), "walk"),
+        # an empty x counts nothing, whatever the run
+        (zero_tensor(3, 5), isotypic_projector((3, 2)), None),
+        # images past a byte's range go one sigma at a time
+        (SparseTensor(2, 256, {(1,) * 255 + (2,): F(3)}), _run_of(256, 3), "walk"),
+    ],
+    ids=["index-255", "index-256", "three-per-entry", "under-three-per-entry",
+         "degree-0", "degree-1", "empty", "degree-256"],
+)
+def test_apply_element_kernel_edges(monkeypatch, x, g, path):
+    paths = _record_paths(monkeypatch)
+    result = apply_element(x, g)
+    assert {p for p, _ in paths} == ({path} if path else set())
+    assert result.entries == _reference_apply(x, g)
+
+
+@pytest.mark.parametrize("top", [255, 256])
+def test_isotypic_components_past_a_byte_match_projectors(top):
+    x = SparseTensor(300, 4, {(top, 1, top, 7): F(2, 3), (3, top, 299 - top, top): F(-1, 4),
+                              (top, top, top, 2): F(5)})
+    for lam, component in isotypic_components(x).items():
+        assert component.entries == apply_element(x, isotypic_projector(lam)).entries
 
 
 def test_projector_weights_are_scaled_once_per_run(monkeypatch):
