@@ -1,26 +1,17 @@
-"""Irreducible characters of the symmetric group, two independent ways.
+"""Irreducible characters of the symmetric group.
 
-The workhorse is the Murnaghan-Nakayama border-strip recursion,
-memoized per (shape, cycle type).  A second, structurally unrelated
-construction Gram-Schmidts the permutation characters of Young
-subgroups and serves as the validation oracle.
+Values come from the Murnaghan-Nakayama border-strip recursion, memoized
+per (shape, cycle type).  The tests check the table against a
+structurally unrelated construction, the Gram-Schmidt of the permutation
+characters of Young subgroups.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .combinatorics import (
-    DEFAULT_MAX_N,
-    Part,
-    Perm,
-    check_limit,
-    conjugate,
-    cycle_type,
-    enumerate_partitions,
-)
+from .combinatorics import DEFAULT_MAX_N, Part, check_limit, conjugate, enumerate_partitions
 
 
 def hook_length_dimension(lam: Part) -> int:
@@ -80,32 +71,6 @@ def mn_character(lam: Part, ct: Part) -> int:
     )
 
 
-@functools.cache
-def _fixed_tabloid_count(capacities: tuple[int, ...], cycle_lengths: tuple[int, ...]) -> int:
-    """Number of ways to fill ordered blocks of the given sizes with the cycles.
-
-    Cycles are distinguishable even when equal in length; a block is fixed
-    by the permutation exactly when it is a union of whole cycles.
-    """
-    if not cycle_lengths:
-        return 1 if all(c == 0 for c in capacities) else 0
-    length, rest = cycle_lengths[0], cycle_lengths[1:]
-    total = 0
-    for i, cap in enumerate(capacities):
-        if cap >= length:
-            total += _fixed_tabloid_count(
-                capacities[:i] + (cap - length,) + capacities[i + 1:], rest
-            )
-    return total
-
-
-def young_permutation_character(lam: Part, sigma: Perm) -> int:
-    """Number of tabloids of shape lam fixed by sigma."""
-    if sum(lam) != len(sigma):
-        raise ValueError(f"degree mismatch: |{lam}| != {len(sigma)}")
-    return _fixed_tabloid_count(tuple(lam), cycle_type(sigma))
-
-
 def class_size(ct: Part, n: int) -> int:
     """Size of the conjugacy class with the given cycle type in S_n."""
     centralizer = 1
@@ -133,33 +98,3 @@ def character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
     )
     sizes = tuple(class_size(ct, n) for ct in parts)
     return CharacterTable(n, parts, parts, sizes, values)
-
-
-def character_table_oracle(n: int) -> CharacterTable:
-    """Character table built without the border-strip rule.
-
-    Extracts irreducibles by Gram-Schmidt of the permutation characters
-    in reverse-lexicographic shape order under the class-weighted inner
-    product; each permutation character contains its own irreducible with
-    multiplicity one, so no normalization is needed.
-    """
-    check_limit(n)
-    parts = tuple(enumerate_partitions(n))
-    sizes = tuple(class_size(ct, n) for ct in parts)
-    n_fact = math.factorial(n)
-
-    rows: list[tuple[int, ...]] = []
-    for lam in parts:
-        vec = [
-            Fraction(_fixed_tabloid_count(lam, ct))
-            for ct in parts
-        ]
-        for prev in rows:
-            ip = sum(
-                Fraction(sz) * a * b for sz, a, b in zip(sizes, vec, prev)
-            ) / n_fact
-            vec = [a - ip * b for a, b in zip(vec, prev)]
-        if any(a.denominator != 1 for a in vec):
-            raise ArithmeticError(f"non-integer character value in the row of {lam}")
-        rows.append(tuple(int(a) for a in vec))
-    return CharacterTable(n, parts, parts, sizes, tuple(rows))

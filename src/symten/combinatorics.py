@@ -1,5 +1,12 @@
 """Permutations, partitions, tableaux and column systems on {1..n}.
 
+The commands use the lazy searches of column systems and standard
+tableaux (`iter_column_systems`, `iter_standard`) and, for the oracle's
+class table, `enumerate_permutations` and `cycle_type`.  The fillings of
+a shape, the row and column groups of a tableau and the sign of a
+permutation serve only the Young symmetrizers that the tests check the
+oracle against, and live with them.
+
 Conventions fixed here, once:
 
 - Permutations are tuples in one-line notation with 1-based entries:
@@ -39,39 +46,11 @@ def check_limit(n: int, max_n: int = DEFAULT_MAX_N) -> None:
 # ---------------------------------------------------------------------------
 # permutations
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def compose(sigma: Perm, tau: Perm) -> Perm:
     """Return sigma tau, acting as (sigma tau)(i) = sigma(tau(i))."""
     if len(sigma) != len(tau):
         raise ValueError(f"degree mismatch: {len(sigma)} != {len(tau)}")
     return tuple(sigma[t - 1] for t in tau)
-
-
-def inverse(sigma: Perm) -> Perm:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma, start=1):
-        inv[s - 1] = i
-    return tuple(inv)
-
-
-def cycles(sigma: Perm) -> list[tuple[int, ...]]:
-    """Cycle decomposition including fixed points, each cycle led by its minimum."""
-    seen = [False] * len(sigma)
-    result = []
-    for start in range(1, len(sigma) + 1):
-        if seen[start - 1]:
-            continue
-        cycle = []
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            cycle.append(i)
-            i = sigma[i - 1]
-        result.append(tuple(cycle))
-    return result
 
 
 def cycle_type(sigma: Perm) -> Part:
@@ -89,10 +68,6 @@ def cycle_type(sigma: Perm) -> Part:
         lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
-
-
-def sign(sigma: Perm) -> int:
-    return -1 if (len(sigma) - len(cycles(sigma))) % 2 else 1
 
 
 def enumerate_permutations(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Perm]:
@@ -147,15 +122,6 @@ def is_filling(rows: Rows) -> bool:
     return is_partition(shape) and sorted(entries) == list(range(1, len(entries) + 1))
 
 
-def enumerate_fillings(lam: Part) -> Iterator[Rows]:
-    """All n! fillings of lam, in lexicographic order of the row-major word."""
-    n = sum(lam)
-    check_limit(n)
-    ends = list(itertools.accumulate(lam))
-    for flat in itertools.permutations(range(1, n + 1)):
-        yield tuple(flat[end - part:end] for part, end in zip(lam, ends))
-
-
 def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
     """Standard tableaux of shape lam (rows and columns increase), lazily.
 
@@ -191,18 +157,6 @@ def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
 def enumerate_standard(lam: Part) -> list[Rows]:
     """All standard tableaux of shape lam, in the order of `iter_standard`."""
     return list(iter_standard(lam))
-
-
-def column_superstandard(lam: Part) -> Rows:
-    """The filling with 1..n placed down successive columns, left to right."""
-    conj = conjugate(lam)
-    grid = [[0] * part for part in lam]
-    value = 1
-    for j, height in enumerate(conj):
-        for i in range(height):
-            grid[i][j] = value
-            value += 1
-    return tuple(tuple(row) for row in grid)
 
 
 def tableau_columns(rows: Rows) -> list[tuple[int, ...]]:
@@ -271,28 +225,3 @@ def iter_column_systems(
 def enumerate_column_systems(lam: Part, max_n: int = DEFAULT_MAX_N) -> list[ColumnSystem]:
     """All column systems of lam, canonical, in the order of `iter_column_systems`."""
     return list(iter_column_systems(lam, max_n))
-
-
-def _setwise_stabilizer(blocks: list[tuple[int, ...]], n: int) -> list[Perm]:
-    perms = []
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        images = list(range(1, n + 1))
-        for block, permuted in zip(blocks, parts):
-            for src, dst in zip(block, permuted):
-                images[src - 1] = dst
-        perms.append(tuple(images))
-    return perms
-
-
-def row_group(rows: Rows) -> list[Perm]:
-    """All permutations stabilizing each row of the tableau setwise."""
-    n = sum(tableau_shape(rows))
-    check_limit(n)
-    return _setwise_stabilizer([tuple(r) for r in rows], n)
-
-
-def col_group(rows: Rows) -> list[Perm]:
-    """All permutations stabilizing each column of the tableau setwise."""
-    n = sum(tableau_shape(rows))
-    check_limit(n)
-    return _setwise_stabilizer(tableau_columns(rows), n)

@@ -1,13 +1,12 @@
-"""Formal rational combinations of permutations.
+"""Formal rational combinations of permutations, and the central
+isotypic projector of each shape.
 
-Houses the row symmetrizer, column antisymmetrizer, Young symmetrizer
-and the central isotypic projector of each shape.  Elements are sparse
-maps from permutation to coefficient; zero coefficients are never
-stored, so equality is map equality.
-
-Multiplication convention: applying element x and then element y to a
-tensor via the right place-permutation action corresponds to the single
-element x * y.
+Elements are sparse maps from permutation to coefficient; zero
+coefficients are never stored, so equality is map equality.
+`tensor.apply_element` applies an element to a tensor.  The projector's
+coefficients are character values, class by class (`_class_weights`,
+`_class_table`); the tests check them against the Young symmetrizers,
+which need no characters.
 """
 from __future__ import annotations
 
@@ -22,19 +21,11 @@ from .combinatorics import (
     DEFAULT_MAX_N,
     Part,
     Perm,
-    Rows,
     SizeLimitError,
     check_limit,
-    col_group,
-    compose,
     cycle_type,
-    enumerate_fillings,
     enumerate_partitions,
     enumerate_permutations,
-    identity,
-    row_group,
-    sign,
-    tableau_shape,
 )
 from .characters import hook_length_dimension, mn_character
 
@@ -58,97 +49,20 @@ class GroupAlgebraElement:
         x.__dict__.update(degree=degree, terms=terms)
         return x
 
-    def _check(self, other: "GroupAlgebraElement") -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return GroupAlgebraElement(self.degree, terms)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            return ga_multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, scalar) -> "GroupAlgebraElement":
-        return self.scale(scalar)
-
-    def scale(self, scalar) -> "GroupAlgebraElement":
-        scalar = Fraction(scalar)
-        return GroupAlgebraElement(
-            self.degree, {p: scalar * c for p, c in self.terms.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, perm: Perm) -> Fraction:
-        return self.terms.get(tuple(perm), Fraction(0))
-
-
-def zero_element(n: int) -> GroupAlgebraElement:
-    return GroupAlgebraElement(n, {})
-
-
-def unit(n: int) -> GroupAlgebraElement:
-    return GroupAlgebraElement(n, {identity(n): Fraction(1)})
-
-
-def basis_element(perm: Perm) -> GroupAlgebraElement:
-    return GroupAlgebraElement(len(perm), {tuple(perm): Fraction(1)})
-
-
-def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product: the term at sigma tau collects x_sigma * y_tau."""
-    x._check(y)
-    terms: dict[Perm, Fraction] = {}
-    for s, a in x.terms.items():
-        for t, b in y.terms.items():
-            st = compose(s, t)
-            terms[st] = terms.get(st, Fraction(0)) + a * b
-    return GroupAlgebraElement(x.degree, terms)
-
-
-def row_symmetrizer(rows: Rows) -> GroupAlgebraElement:
-    """Sum over the row group of the tableau, all coefficients 1."""
-    n = sum(tableau_shape(rows))
-    return GroupAlgebraElement._nonzero(
-        n, {p: Fraction(1) for p in row_group(rows)}
-    )
-
-
-def column_antisymmetrizer(rows: Rows) -> GroupAlgebraElement:
-    """Signed sum over the column group of the tableau."""
-    n = sum(tableau_shape(rows))
-    return GroupAlgebraElement._nonzero(
-        n, {p: Fraction(sign(p)) for p in col_group(rows)}
-    )
-
-
-def young_symmetrizer(rows: Rows) -> GroupAlgebraElement:
-    """The product: column antisymmetrizer times row symmetrizer."""
-    return ga_multiply(column_antisymmetrizer(rows), row_symmetrizer(rows))
-
 
 @functools.cache
 def _class_table(n: int) -> tuple[bytes, ...]:
     """S_n by class in enumerate_partitions(n) order: each class's permutations
     in enumerate_permutations order, flat, n bytes each.  Degrees above 16
-    (over 256 classes) raise SizeLimitError at once, whatever max_n allowed.
+    raise SizeLimitError at once, whatever max_n allowed: a backstop on the
+    work, since S_17 alone has 17! (about 3.6e14) permutations.
     """
-    classes = enumerate_partitions(n)
-    if len(classes) > 256:
+    if n > 16:
         raise SizeLimitError(
-            f"degree {n} has {len(classes)} conjugacy classes, more than the 256 "
-            "of the class table (degree 16 at most)"
+            f"degree {n} is past the class table's limit of 16: "
+            f"S_{n} has {math.factorial(n)} permutations"
         )
+    classes = enumerate_partitions(n)
     table = {ct: bytearray() for ct in classes}
     for p in enumerate_permutations(n, n):
         table[cycle_type(p)] += bytes(p)
@@ -189,12 +103,3 @@ def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
         if chi:
             terms.update(zip(_members(flat, n), repeat(weights[chi])))
     return GroupAlgebraElement._nonzero(n, terms)
-
-
-def sum_young_symmetrizers(lam: Part) -> GroupAlgebraElement:
-    """Sum of the Young symmetrizers over all fillings of lam."""
-    lam = tuple(lam)
-    total = zero_element(sum(lam))
-    for rows in enumerate_fillings(lam):
-        total = total + young_symmetrizer(rows)
-    return total

@@ -54,10 +54,6 @@ class VectorFamily:
                 raise IndexError(f"index {i} out of range 1..{len(self.vectors)}")
         return [i - 1 for i in out]
 
-    def select(self, indices: Iterable[int]) -> list[Vector]:
-        """Vectors at the given 1-based indices, in increasing index order."""
-        return [self.vectors[i] for i in self._positions(indices)]
-
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 

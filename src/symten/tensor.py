@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import DEFAULT_MAX_N, Part, Perm, check_limit, enumerate_partitions
 from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _members
-from .linalg import VectorFamily, _scaled, format_rational, parse_rational
+from .linalg import VectorFamily, _scaled, format_rational
 
 Index = tuple[int, ...]
 _Run = tuple[Sequence[int], int, dict[Index, int]]
@@ -41,10 +41,6 @@ class SparseTensor:
         x = object.__new__(cls)
         x.__dict__.update(dim=dim, order=order, entries=entries)
         return x
-
-
-def zero_tensor(dim: int, order: int) -> SparseTensor:
-    return SparseTensor(dim, order, {})
 
 
 def decomposable(family: VectorFamily) -> SparseTensor:
@@ -204,11 +200,6 @@ def tensor_add(x: SparseTensor, y: SparseTensor) -> SparseTensor:
     return SparseTensor(x.dim, x.order, entries)
 
 
-def tensor_scale(x: SparseTensor, scalar) -> SparseTensor:
-    scalar = Fraction(scalar)
-    return SparseTensor(x.dim, x.order, {i: scalar * c for i, c in x.entries.items()})
-
-
 def is_zero(x: SparseTensor) -> bool:
     return not x.entries
 
@@ -229,10 +220,3 @@ def to_json_obj(x: SparseTensor) -> dict:
             for index, coeff in sorted(x.entries.items())
         ],
     }
-
-
-def from_json_obj(obj: dict) -> SparseTensor:
-    entries = {
-        tuple(e["index"]): parse_rational(e["coeff"]) for e in obj["entries"]
-    }
-    return SparseTensor(obj["dim"], obj["order"], entries)

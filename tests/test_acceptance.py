@@ -9,31 +9,26 @@ import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from symten import cli, crosscheck
-from symten.characters import character_table, character_table_oracle, hook_length_dimension
-from symten.combinatorics import (
-    enumerate_fillings,
-    enumerate_partitions,
-    enumerate_standard,
-    tableau_columns,
-)
-from symten.group_algebra import (
-    column_antisymmetrizer,
-    ga_multiply,
-    isotypic_projector,
-    young_symmetrizer,
-    zero_element,
-)
+from symten.characters import hook_length_dimension
+from symten.combinatorics import enumerate_partitions, tableau_columns
+from symten.group_algebra import GroupAlgebraElement, isotypic_projector
 from symten.linalg import is_independent
 from symten.sampling import random_family, scaled_family
-from symten.tensor import apply_element, decomposable, from_json_obj, is_zero, tensor_equal
-
-DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden"
+from symten.tensor import apply_element, decomposable, is_zero, tensor_equal
+from tests import test_characters
+from tests.reference import (
+    column_antisymmetrizer,
+    combination,
+    enumerate_fillings,
+    from_json_obj,
+    ga_multiply,
+    young_symmetrizer,
+)
+from tests.test_cli import DATA, GOLDEN, GOLDEN_CASES
 
 
 def report(criterion: str, detail: str) -> None:
@@ -136,30 +131,14 @@ def test_criterion_4_projector_versus_every_symmetrizer(projectors):
 
 
 def test_criterion_5_character_suite():
+    # the unit tests of symten.characters, at every degree they cover
     for n in range(1, 7):
-        table = character_table(n)
-        assert table.values == character_table_oracle(n).values
-        n_fact = math.factorial(n)
-        for i, row_i in enumerate(table.values):
-            for j, row_j in enumerate(table.values):
-                ip = sum(
-                    size * a * b for size, a, b in zip(table.class_sizes, row_i, row_j)
-                )
-                assert ip == (n_fact if i == j else 0)
-        for c in range(len(table.classes)):
-            for d in range(len(table.classes)):
-                ip = sum(row[c] * row[d] for row in table.values)
-                expected = n_fact // table.class_sizes[c] if c == d else 0
-                assert ip == expected
-        identity_class = tuple([1] * n)
-        for lam, row in zip(table.partitions, table.values):
-            dim = hook_length_dimension(lam)
-            assert row[table.classes.index(identity_class)] == dim
-            assert len(enumerate_standard(lam)) == dim
+        test_characters.test_mn_table_matches_oracle(n)
+        test_characters.test_row_orthogonality(n)
+        test_characters.test_column_orthogonality(n)
+        test_characters.test_dimension_consistency(n)
     for n in range(1, 9):
-        assert sum(
-            hook_length_dimension(lam) ** 2 for lam in enumerate_partitions(n)
-        ) == math.factorial(n)
+        test_characters.test_sum_of_squared_dimensions(n)
     report("criterion 5 (character suite)", "tables n<=6, dimensions n<=8")
 
 
@@ -175,23 +154,13 @@ def test_criterion_6_group_algebra_suite(projectors):
         c = young_symmetrizer(rows)
         assert ga_multiply(p, c) == c
         kappa = Fraction(math.factorial(5), hook_length_dimension(lam))
-        assert ga_multiply(c, c) == kappa * c
-    assert ga_multiply(projectors((5,)), projectors((3, 2))) == zero_element(5)
+        assert ga_multiply(c, c) == combination((kappa, c))
+    assert ga_multiply(projectors((5,)), projectors((3, 2))) == GroupAlgebraElement(5)
     report("criterion 6 (group-algebra suite)", "n=5 spot checks")
 
 
 def test_criterion_7_cli_contract(capsys, tmp_path):
-    golden_cases = [
-        ("gamas", "gamas_vanishing"),
-        ("gamas", "gamas_nonvanishing"),
-        ("gamas", "gamas_zero_vector"),
-        ("equal", "equal_scaling"),
-        ("equal", "equal_product_off"),
-        ("equal", "equal_both_vanish"),
-        ("symmetrize", "symmetrize_basis"),
-        ("symmetrize", "symmetrize_vanishing"),
-    ]
-    for command, name in golden_cases:
+    for command, name in GOLDEN_CASES:
         argv = [command, "--input", str(DATA / f"{name}.json")]
         assert cli.main(argv) == 0
         first = capsys.readouterr().out

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from symten import characters, cli, crosscheck, group_algebra, tensor
 from symten.linalg import format_rational
 from symten.sampling import random_family, scaled_family
-from symten.tensor import from_json_obj, tensor_equal
+from symten.tensor import tensor_equal
+from tests.reference import from_json_obj
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -216,7 +217,7 @@ def test_exit_code_limit(capsys):
 
 @pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])
 def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
-    # S_17 has 297 conjugacy classes, more than the 256 the class table allows
+    # listing S_17 by class would take 17! permutations; the table stops at 16
     instance = tmp_path / "n17.json"
     instance.write_text(json.dumps({"dim": 2, "lambda": [17], "v": [["1", "0"]] * 17}))
     argv = {
@@ -226,7 +227,7 @@ def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
     assert cli.main([*argv, "--max-n", "17"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: degree 17 has 297 conjugacy classes")
+    assert captured.err.startswith("error: degree 17 is past the class table's limit of 16")
     assert captured.err.count("\n") == 1, captured.err
 
 

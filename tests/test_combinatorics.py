@@ -8,37 +8,30 @@ from hypothesis import strategies as st
 
 from symten.combinatorics import (
     SizeLimitError,
-    col_group,
-    column_superstandard,
     column_system_of,
     compose,
     conjugate,
     cycle_type,
-    cycles,
     enumerate_column_systems,
-    enumerate_fillings,
     enumerate_partitions,
     enumerate_permutations,
     enumerate_standard,
-    identity,
-    inverse,
     is_filling,
     iter_column_systems,
     iter_standard,
-    row_group,
-    sign,
     tableau_columns,
 )
 from symten.characters import hook_length_dimension
+from tests.reference import col_group, enumerate_fillings, row_group, sign
 
 PAPER_TABLEAU = ((2, 3, 4), (1, 5))
 
 
 def test_compose_examples():
     swap = (2, 1)
-    assert compose(swap, swap) == identity(2)
+    assert compose(swap, swap) == (1, 2)
     tau = (3, 1, 2)
-    assert compose(identity(3), tau) == tau
+    assert compose((1, 2, 3), tau) == tau
     # hand-composed: sigma=(12), tau=(23) gives the 3-cycle 1->2->3->1
     assert compose((2, 1, 3), (1, 3, 2)) == (2, 3, 1)
 
@@ -48,14 +41,8 @@ def test_compose_degree_mismatch():
         compose((1, 2), (1, 2, 3))
 
 
-def test_inverse():
-    for p in enumerate_permutations(4):
-        assert compose(p, inverse(p)) == identity(4)
-        assert compose(inverse(p), p) == identity(4)
-
-
 def test_sign_examples():
-    assert sign(identity(5)) == 1
+    assert sign((1, 2, 3, 4, 5)) == 1
     assert sign((2, 1, 3)) == -1
     assert sign((2, 3, 1)) == 1
 
@@ -80,15 +67,23 @@ def test_compose_associative_randomized(n):
 
 
 def test_cycle_type_examples():
-    assert cycle_type(identity(4)) == (1, 1, 1, 1)
+    assert cycle_type((1, 2, 3, 4)) == (1, 1, 1, 1)
     assert cycle_type((2, 1, 3)) == (2, 1)
     assert cycle_type((2, 3, 1, 5, 4)) == (3, 2)
+
+
+def _orbit(sigma, i):
+    orbit = {i}
+    while (i := sigma[i - 1]) not in orbit:
+        orbit.add(i)
+    return frozenset(orbit)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_cycle_type_matches_cycle_decomposition(n):
     for p in enumerate_permutations(n):
-        assert cycle_type(p) == tuple(sorted(map(len, cycles(p)), reverse=True))
+        cycles = {_orbit(p, i) for i in p}
+        assert cycle_type(p) == tuple(sorted(map(len, cycles), reverse=True))
 
 
 def test_enumerate_permutations():
@@ -146,23 +141,9 @@ def test_standard_count_equals_hook_dimension(n):
         assert len(enumerate_standard(lam)) == hook_length_dimension(lam)
 
 
-def test_column_superstandard():
-    assert column_superstandard((2, 2)) == ((1, 3), (2, 4))
-    assert column_superstandard((1, 1, 1)) == ((1,), (2,), (3,))
-    assert column_superstandard((3,)) == ((1, 2, 3),)
-
-
-def test_column_superstandard_columns_are_intervals():
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n):
-            system = column_system_of(column_superstandard(lam))
-            for col in system:
-                assert col == tuple(range(col[0], col[0] + len(col)))
-
-
 def test_column_system_of_examples():
     assert column_system_of(PAPER_TABLEAU) == ((1, 2), (3, 5), (4,))
-    assert column_system_of(column_superstandard((2, 2))) == ((1, 2), (3, 4))
+    assert column_system_of(((1, 3), (2, 4))) == ((1, 2), (3, 4))
     assert column_system_of(((1, 2),)) == ((1,), (2,))
 
 
@@ -240,17 +221,17 @@ def test_row_and_col_group_sizes():
     assert len(col_group(PAPER_TABLEAU)) == 4
     single_col = ((1,), (2,), (3,))
     assert sorted(col_group(single_col)) == sorted(enumerate_permutations(3))
-    assert row_group(single_col) == [identity(3)]
-    assert col_group(((1, 2, 3),)) == [identity(3)]
+    assert row_group(single_col) == [(1, 2, 3)]
+    assert col_group(((1, 2, 3),)) == [(1, 2, 3)]
 
 
 @pytest.mark.parametrize("lam", [(2, 1), (2, 2), (3, 1)])
 def test_row_and_col_groups_are_subgroups(lam):
     for rows in enumerate_fillings(lam):
         for group in (row_group(rows), col_group(rows)):
+            # a finite set of permutations closed under composition is a group
             members = set(group)
             for p in members:
-                assert inverse(p) in members
                 for q in members:
                     assert compose(p, q) in members
-        assert set(row_group(rows)) & set(col_group(rows)) == {identity(sum(lam))}
+        assert set(row_group(rows)) & set(col_group(rows)) == {tuple(range(1, sum(lam) + 1))}

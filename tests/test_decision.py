@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -15,7 +16,6 @@ from symten.combinatorics import (
     compose,
     enumerate_column_systems,
     enumerate_partitions,
-    identity,
 )
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
@@ -29,16 +29,13 @@ from symten.decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from symten.group_algebra import isotypic_projector, unit
+from symten.group_algebra import GroupAlgebraElement, isotypic_projector
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family
-from symten.tensor import apply_element, is_zero, isotypic_components
+from symten.tensor import apply_element, decomposable, is_zero, isotypic_components, tensor_equal
+from tests.reference import combination, fam, sign
 
 F = Fraction
-
-
-def fam(*vectors):
-    return VectorFamily(len(vectors[0]), tuple(tuple(F(x) for x in v) for v in vectors))
 
 
 E1 = (1, 0, 0)
@@ -222,6 +219,41 @@ def test_per_vector_scaling_single_column():
                 assert verdict_off.equal and verdict_off.mode == "both_vanish"
 
 
+def _unimodular(rng, dim, det):
+    """A random integer dim x dim matrix of determinant det, 1 or -1: a
+    signed permutation matrix, then two row additions, which keep det."""
+    perm = rng.sample(range(dim), dim)
+    signs = [rng.choice((1, -1)) for _ in range(dim)]
+    g = [[signs[i] * (j == perm[i]) for j in range(dim)] for i in range(dim)]
+    for _ in range(2):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    if sign(tuple(p + 1 for p in perm)) * math.prod(signs) != det:
+        g[0] = [-a for a in g[0]]
+    return g
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (1, 1, 1), (2, 2), (2, 2, 2)], ids=str)
+def test_equal_pairs_that_are_not_rescalings(lam):
+    """u = g v with det(g)^k = 1 and lam = (k^d) in dimension d: g scales
+    the wedge of each of the k columns by det(g), so the projections are
+    equal.  Unlike u_i = c_i v_i, the two sides swap different rows when
+    they eliminate, so a wrong swap sign in a minor shows."""
+    dim, k = len(lam), lam[0]
+    rng = random.Random(10 * sum(lam) + dim)
+    for _ in range(12):
+        fv = fam(*(
+            [F(rng.choice((0, 0, 1, -1, 2, 3)), rng.choice((1, 1, 2))) for _ in range(dim)]
+            for _ in range(k * dim)
+        ))
+        g = _unimodular(rng, dim, rng.choice((1, -1)) if k % 2 == 0 else 1)
+        fu = fam(*([sum(a * x for a, x in zip(row, v)) for row in g] for v in fv.vectors))
+        cv, cu = (isotypic_components(decomposable(f))[lam] for f in (fv, fu))
+        assert tensor_equal(cv, cu)
+        assert decide_equality(fv, fu, lam).equal
+
+
 def test_matching_on_parallel_columns_is_linear(monkeypatch):
     # lambda = (9): one column system of nine singleton columns, all of one
     # span, and no matching of product 1; a search over matchings would
@@ -368,12 +400,12 @@ def _leaky_projector(lam, max_n):
     """Half the trivial projector moved onto the sign projector: the
     projectors still sum to 1, but neither of the two is idempotent."""
     n = sum(lam)
-    half = Fraction(1, 2) * isotypic_projector((n,), max_n)
+    projector, trivial = isotypic_projector(lam, max_n), isotypic_projector((n,), max_n)
     if lam == (n,):
-        return isotypic_projector(lam, max_n) - half
+        return combination((1, projector), (Fraction(-1, 2), trivial))
     if lam == (1,) * n:
-        return isotypic_projector(lam, max_n) + half
-    return isotypic_projector(lam, max_n)
+        return combination((1, projector), (Fraction(1, 2), trivial))
+    return projector
 
 
 def _components_without_identity(x, max_n):
@@ -381,9 +413,9 @@ def _components_without_identity(x, max_n):
     sweep: the projector applied without its identity term."""
     components = {}
     for lam in enumerate_partitions(x.order):
-        projector = isotypic_projector(lam, max_n)
-        at_identity = projector.coefficient(identity(x.order)) * unit(x.order)
-        components[lam] = apply_element(x, projector - at_identity)
+        terms = dict(isotypic_projector(lam, max_n).terms)
+        del terms[tuple(range(1, x.order + 1))]
+        components[lam] = apply_element(x, GroupAlgebraElement(x.order, terms))
     return components
 
 
@@ -475,3 +507,33 @@ def test_crosscheck_property_catches_a_fault_in_its_last_trial(
     # the calls of the first trials - 1 trials go right, every later one wrong
     calls, healthy = 0, (trials - 1) * calls_per_trial
     assert run() is None
+
+
+def test_equality_property_draws_every_kind_of_u(monkeypatch):
+    """u unrelated to v, a unit-product rescaling of v and one of another
+    product all occur, and unrelated ones reach unequal components."""
+    draws, outcomes = [], Counter()
+
+    def drawn_family(*args, **kwargs):
+        draws.append("random")
+        return random_family(*args, **kwargs)
+
+    def drawn_scaling(rng, base, unit_product):
+        draws.append("unit" if unit_product else "non-unit")
+        return scaled_family(rng, base, unit_product)
+
+    def compared(x, y):
+        equal = tensor_equal(x, y)
+        # each trial draws v with random_family first, then u
+        kind = "unrelated" if draws[-2:] == ["random", "random"] else draws[-1]
+        outcomes[kind, equal] += 1
+        return equal
+
+    monkeypatch.setattr(crosscheck, "random_family", drawn_family)
+    monkeypatch.setattr(crosscheck, "scaled_family", drawn_scaling)
+    monkeypatch.setattr(crosscheck, "tensor_equal", compared)
+    prop = dict(crosscheck.properties(3, 25, random.Random(0)))["equality_matches_oracle"]
+    assert prop() == 25 * 3
+    assert {kind for kind, _ in outcomes} == {"unrelated", "unit", "non-unit"}
+    assert outcomes["unrelated", False] >= 1
+    assert outcomes["unit", False] == 0
