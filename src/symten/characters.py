@@ -11,21 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .combinatorics import DEFAULT_MAX_N, Part, check_limit, conjugate, enumerate_partitions
-
-
-def hook_length_dimension(lam: Part) -> int:
-    """n! over the product of hook lengths; the number of standard tableaux."""
-    n = sum(lam)
-    conj = conjugate(lam)
-    product = 1
-    for i, part in enumerate(lam):
-        for j in range(part):
-            product *= part - j + conj[j] - i - 1
-    dim, rem = divmod(math.factorial(n), product)
-    if rem:
-        raise ArithmeticError(f"hook product {product} does not divide {n}!")
-    return dim
+from .combinatorics import Part, enumerate_partitions
 
 
 def _border_strip_removals(lam: Part, length: int) -> list[tuple[Part, int]]:
@@ -89,9 +75,8 @@ class CharacterTable:
     values: tuple[tuple[int, ...], ...]  # values[i][j] = chi^{partitions[i]}(classes[j])
 
 
-def character_table(n: int, max_n: int = DEFAULT_MAX_N) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """The full character table of S_n via the border-strip recursion."""
-    check_limit(n, max_n)
     parts = tuple(enumerate_partitions(n))
     values = tuple(
         tuple(mn_character(lam, ct) for ct in parts) for lam in parts

@@ -6,7 +6,9 @@ and character tables.  Rationals travel as strings ("p/q" or "p"), never
 as floats, and every payload is ordered deterministically so reruns are
 byte-identical.  Every command writes its payload through `_json_text`,
 which gives exactly the bytes of `json.dumps(payload, indent=2)`.
-`selfcheck` runs the properties of `symten.crosscheck`.
+`selfcheck` runs the properties of `symten.crosscheck`.  Each command
+checks its degree against `--max-n` once (`check_limit`), after its
+arguments and input parse and before any work.
 
 Exit codes: 0 success, 1 self-check property failure (a property that
 raises fails) or disagreeing Gamas deciders, 2 input or output error
@@ -23,7 +25,7 @@ import sys
 
 from . import __version__, crosscheck
 from .characters import character_table
-from .combinatorics import DEFAULT_MAX_N, SizeLimitError, is_partition
+from .combinatorics import SizeLimitError, is_partition
 from .decision import (
     EqualityVerdict,
     decide_equality,
@@ -39,9 +41,18 @@ EXIT_SELFCHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_LIMIT_ERROR = 3
 
+#: Commands refuse degrees above this unless --max-n raises it.
+DEFAULT_MAX_N = 8
+
 
 class InputError(Exception):
     """Malformed instance file, inconsistent instance data or bad arguments."""
+
+
+def check_limit(n: int, max_n: int) -> None:
+    """Refuse a command of degree n past the size limit max_n."""
+    if n > max_n:
+        raise SizeLimitError(f"degree {n} exceeds the size limit {max_n}")
 
 
 def _is_int(x) -> bool:
@@ -196,8 +207,9 @@ def _formatted(to_json, result) -> dict:
 
 def cmd_gamas(args) -> int:
     lam, fv, _ = load_instance(args.input)
-    nonzero, system = gamas_nonvanishing(fv, lam, args.max_n)
-    standard_nonzero, tableau = gamas_standard(fv, lam, args.max_n)
+    check_limit(sum(lam), args.max_n)
+    nonzero, system = gamas_nonvanishing(fv, lam)
+    standard_nonzero, tableau = gamas_standard(fv, lam)
     if nonzero != standard_nonzero:
         print(
             f"error: column-system scan says nonzero={nonzero}, "
@@ -220,14 +232,16 @@ def cmd_gamas(args) -> int:
 
 def cmd_equal(args) -> int:
     lam, fv, fu = load_instance(args.input, require_u=True)
-    verdict = decide_equality(fv, fu, lam, args.max_n, args.exhaustive_failures)
+    check_limit(sum(lam), args.max_n)
+    verdict = decide_equality(fv, fu, lam, args.exhaustive_failures)
     _emit(_formatted(verdict_json, verdict), args.output)
     return EXIT_OK
 
 
 def cmd_symmetrize(args) -> int:
     lam, fv, _ = load_instance(args.input)
-    projector = isotypic_projector(lam, args.max_n)
+    check_limit(sum(lam), args.max_n)
+    projector = isotypic_projector(lam)
     result = apply_element(decomposable(fv), projector)
     if args.shape_only:
         obj = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
@@ -240,7 +254,8 @@ def cmd_symmetrize(args) -> int:
 def cmd_characters(args) -> int:
     if args.n < 0:
         raise InputError("--n must be at least 0")
-    table = character_table(args.n, args.max_n)
+    check_limit(args.n, args.max_n)
+    table = character_table(args.n)
     _emit(
         {
             "n": table.n,
@@ -259,9 +274,10 @@ def cmd_selfcheck(args) -> int:
         raise InputError("--n must be at least 1")
     if args.trials < 0:
         raise InputError("--trials must be at least 0")
+    check_limit(args.n, args.max_n)
     rng = random.Random(args.seed)
     results = []
-    for name, prop in crosscheck.properties(args.n, args.trials, rng, args.max_n):
+    for name, prop in crosscheck.properties(args.n, args.trials, rng):
         try:
             checks = prop()
         except Exception as exc:  # a crashing property is a failed property

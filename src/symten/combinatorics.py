@@ -30,17 +30,9 @@ ColumnSystem = tuple[tuple[int, ...], ...]
 #: A column predicate: the increasing entries of a column, or of its top part.
 Keep = Callable[[tuple[int, ...]], bool]
 
-#: Factorial enumerations refuse to run above this degree unless overridden.
-DEFAULT_MAX_N = 8
-
 
 class SizeLimitError(Exception):
-    """Raised when a factorial-scale enumeration exceeds the size guard."""
-
-
-def check_limit(n: int, max_n: int = DEFAULT_MAX_N) -> None:
-    if n > max_n:
-        raise SizeLimitError(f"degree {n} exceeds the size limit {max_n}")
+    """Raised when the work asked for is past a size guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +62,8 @@ def cycle_type(sigma: Perm) -> Part:
     return tuple(lengths)
 
 
-def enumerate_permutations(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Perm]:
+def enumerate_permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
-    check_limit(n, max_n)
     return iter(itertools.permutations(range(1, n + 1)))
 
 
@@ -178,9 +169,7 @@ def column_system_of(rows: Rows) -> ColumnSystem:
     return canonical_system(tableau_columns(rows))
 
 
-def iter_column_systems(
-    lam: Part, max_n: int = DEFAULT_MAX_N, keep: Optional[Keep] = None
-) -> Iterator[ColumnSystem]:
+def iter_column_systems(lam: Part, keep: Optional[Keep] = None) -> Iterator[ColumnSystem]:
     """Every multiset of column sets arising from a filling of lam, once each.
 
     A depth-first search builds each system canonically, column by
@@ -193,7 +182,6 @@ def iter_column_systems(
     every column passes.
     """
     n = sum(lam)
-    check_limit(n, max_n)
     sizes = conjugate(lam)
     if not sizes:
         return iter([()])
@@ -222,6 +210,6 @@ def iter_column_systems(
     return rec(tuple(range(1, n + 1)), 0)
 
 
-def enumerate_column_systems(lam: Part, max_n: int = DEFAULT_MAX_N) -> list[ColumnSystem]:
+def enumerate_column_systems(lam: Part) -> list[ColumnSystem]:
     """All column systems of lam, canonical, in the order of `iter_column_systems`."""
-    return list(iter_column_systems(lam, max_n))
+    return list(iter_column_systems(lam))

@@ -38,7 +38,6 @@ import functools
 import random
 
 from .combinatorics import (
-    DEFAULT_MAX_N,
     Part,
     Rows,
     column_system_of,
@@ -84,15 +83,14 @@ def properties(
     n: int,
     trials: int,
     rng: random.Random,
-    max_n: int = DEFAULT_MAX_N,
     dims: tuple[int, ...] = (2, 3),
 ):
     """The named properties at degree n as [(name, fn)], all drawing from
     the one rng; each trial draws its tensor dimension from dims, and each
     fn returns its number of checks, or None at the first failing trial."""
     partitions = enumerate_partitions(n)
-    projectors = {lam: isotypic_projector(lam, max_n) for lam in partitions}
-    perms = list(enumerate_permutations(n, max_n))
+    projectors = {lam: isotypic_projector(lam) for lam in partitions}
+    perms = list(enumerate_permutations(n))
 
     def adversarial_family():
         return random_family(rng, n, rng.choice(dims), adversarial=True)
@@ -105,7 +103,7 @@ def properties(
 
     def projector_idempotent_and_complete(trial: int) -> bool:
         x = decomposable(adversarial_family())
-        components = isotypic_components(x, max_n)
+        components = isotypic_components(x)
         once = [components[lam] for lam in partitions]
         return all(
             tensor_equal(apply_element(c, projectors[lam]), c) for lam, c in zip(partitions, once)
@@ -113,10 +111,10 @@ def properties(
 
     def gamas_matches_oracle(trial: int) -> bool:
         fam = adversarial_family()
-        components = isotypic_components(decomposable(fam), max_n)
+        components = isotypic_components(decomposable(fam))
         for lam in partitions:
-            nonzero, witness = gamas_nonvanishing(fam, lam, max_n)
-            standard, tableau = gamas_standard(fam, lam, max_n)
+            nonzero, witness = gamas_nonvanishing(fam, lam)
+            standard, tableau = gamas_standard(fam, lam)
             if nonzero != (not is_zero(components[lam])) or standard != nonzero:
                 return False
             if witness is not None and not columns_independent(fam, witness):
@@ -131,10 +129,10 @@ def properties(
             fu = random_family(rng, n, fv.dim, adversarial=True)
         else:
             fu = scaled_family(rng, fv, unit_product=(trial % 3 == 1))
-        cv = isotypic_components(decomposable(fv), max_n)
-        cu = isotypic_components(decomposable(fu), max_n)
+        cv = isotypic_components(decomposable(fv))
+        cu = isotypic_components(decomposable(fu))
         return all(
-            decide_equality(fv, fu, lam, max_n).equal == tensor_equal(cv[lam], cu[lam])
+            decide_equality(fv, fu, lam).equal == tensor_equal(cv[lam], cu[lam])
             for lam in partitions
         )
 

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .combinatorics import (
-    DEFAULT_MAX_N,
-    ColumnSystem,
-    Part,
-    Rows,
-    check_limit,
-    iter_column_systems,
-    iter_standard,
-)
+from .combinatorics import ColumnSystem, Part, Rows, iter_column_systems, iter_standard
 from .linalg import SpanKey, VectorFamily, is_independent, span_key
 
 INDEPENDENCE_MISMATCH = "independence_mismatch"
@@ -86,9 +78,7 @@ class _SpanKeys(dict):
         return self[column] is not None
 
 
-def gamas_nonvanishing(
-    family: VectorFamily, lam: Part, max_n: int = DEFAULT_MAX_N
-) -> tuple[bool, Optional[ColumnSystem]]:
+def gamas_nonvanishing(family: VectorFamily, lam: Part) -> tuple[bool, Optional[ColumnSystem]]:
     """Whether the symmetrized tensor of the family is nonzero for shape lam.
 
     Nonzero exactly when some column system has all columns independent;
@@ -97,18 +87,15 @@ def gamas_nonvanishing(
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
-    system = next(iter_column_systems(lam, max_n, _SpanKeys(family).has_key), None)
+    system = next(iter_column_systems(lam, _SpanKeys(family).has_key), None)
     return system is not None, system
 
 
-def gamas_standard(
-    family: VectorFamily, lam: Part, max_n: int = DEFAULT_MAX_N
-) -> tuple[bool, Optional[Rows]]:
+def gamas_standard(family: VectorFamily, lam: Part) -> tuple[bool, Optional[Rows]]:
     """Same decision restricted to standard tableaux; witness is a tableau."""
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
-    check_limit(sum(lam), max_n)
     rows = next(iter_standard(lam, _SpanKeys(family).has_key), None)
     return rows is not None, rows
 
@@ -163,11 +150,7 @@ def _search_matching(
 
 
 def decide_equality(
-    fv: VectorFamily,
-    fu: VectorFamily,
-    lam: Part,
-    max_n: int = DEFAULT_MAX_N,
-    exhaustive: bool = False,
+    fv: VectorFamily, fu: VectorFamily, lam: Part, exhaustive: bool = False
 ) -> EqualityVerdict:
     """Decide equality of the two symmetrized decomposable tensors.
 
@@ -193,7 +176,7 @@ def decide_equality(
         # a column dependent on both sides only leads to skipped systems
         return v_keys.has_key(column) or u_keys.has_key(column)
 
-    for system in iter_column_systems(lam, max_n, keep):
+    for system in iter_column_systems(lam, keep):
         pairs = [(v_keys[column], u_keys[column]) for column in system]
         v_ind = all(v is not None for v, _ in pairs)
         u_ind = all(u is not None for _, u in pairs)

@@ -18,16 +18,14 @@ from itertools import repeat
 from typing import Iterator
 
 from .combinatorics import (
-    DEFAULT_MAX_N,
     Part,
     Perm,
     SizeLimitError,
-    check_limit,
     cycle_type,
     enumerate_partitions,
     enumerate_permutations,
 )
-from .characters import hook_length_dimension, mn_character
+from .characters import mn_character
 
 
 def _canonical(terms: dict[Perm, Fraction]) -> dict[Perm, Fraction]:
@@ -54,8 +52,9 @@ class GroupAlgebraElement:
 def _class_table(n: int) -> tuple[bytes, ...]:
     """S_n by class in enumerate_partitions(n) order: each class's permutations
     in enumerate_permutations order, flat, n bytes each.  Degrees above 16
-    raise SizeLimitError at once, whatever max_n allowed: a backstop on the
-    work, since S_17 alone has 17! (about 3.6e14) permutations.
+    raise SizeLimitError at once, whatever the command's size limit: the
+    library's one guard, on the work, since S_17 alone has 17! (about
+    3.6e14) permutations.
     """
     if n > 16:
         raise SizeLimitError(
@@ -64,7 +63,7 @@ def _class_table(n: int) -> tuple[bytes, ...]:
         )
     classes = enumerate_partitions(n)
     table = {ct: bytearray() for ct in classes}
-    for p in enumerate_permutations(n, n):
+    for p in enumerate_permutations(n):
         table[cycle_type(p)] += bytes(p)
     return tuple(map(bytes, table.values()))
 
@@ -78,14 +77,15 @@ def _class_weights(lam: Part, classes: list[Part]) -> tuple[Fraction, list[int]]
     """(scale, chis): the isotypic projector of lam is the sum over k of
     scale * chis[k] times the sum of the class of cycle type classes[k].
 
-    classes is enumerate_partitions(n), scale is dim/n! and chis[k] the
-    character value on classes[k].
+    classes is enumerate_partitions(n), chis[k] the character value on
+    classes[k] and scale is dim/n!, the dimension read off the identity's
+    class (1^n), which enumerate_partitions lists last.
     """
-    scale = Fraction(hook_length_dimension(lam), math.factorial(sum(lam)))
-    return scale, [mn_character(lam, ct) for ct in classes]
+    chis = [mn_character(lam, ct) for ct in classes]
+    return Fraction(chis[-1], math.factorial(sum(lam))), chis
 
 
-def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraElement:
+def isotypic_projector(lam: Part) -> GroupAlgebraElement:
     """The central idempotent projecting onto the isotypic component of lam.
 
     Coefficient of sigma is the `_class_weights` weight of sigma's class,
@@ -95,11 +95,11 @@ def isotypic_projector(lam: Part, max_n: int = DEFAULT_MAX_N) -> GroupAlgebraEle
     """
     lam = tuple(lam)
     n = sum(lam)
-    check_limit(n, max_n)
+    table = _class_table(n)  # first: its backstop comes before any listing
     scale, chis = _class_weights(lam, enumerate_partitions(n))
     weights = {chi: scale * chi for chi in set(chis) if chi}
     terms: dict[Perm, Fraction] = {}
-    for chi, flat in zip(chis, _class_table(n)):
+    for chi, flat in zip(chis, table):
         if chi:
             terms.update(zip(_members(flat, n), repeat(weights[chi])))
     return GroupAlgebraElement._nonzero(n, terms)

@@ -16,7 +16,7 @@ from itertools import chain, groupby, islice, repeat
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .combinatorics import DEFAULT_MAX_N, Part, Perm, check_limit, enumerate_partitions
+from .combinatorics import Part, Perm, enumerate_partitions
 from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _members
 from .linalg import VectorFamily, _scaled, format_rational
 
@@ -153,9 +153,7 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     )
 
 
-def isotypic_components(
-    x: SparseTensor, max_n: int = DEFAULT_MAX_N
-) -> dict[Part, SparseTensor]:
+def isotypic_components(x: SparseTensor) -> dict[Part, SparseTensor]:
     """x's component in the isotypic subspace of every lam |- n, by shape.
 
     Equals `apply_element(x, isotypic_projector(lam))` for each lam, from
@@ -168,10 +166,10 @@ def isotypic_components(
     them up with the integer character values.
     """
     n = x.order
-    check_limit(n, max_n)
+    table = _class_table(n)  # first: its backstop comes before any listing
     shapes = enumerate_partitions(n)
     class_sums: list[dict[Index, int]] = [{} for _ in shapes]
-    d_x = _permuted_sums(x, zip(_class_table(n), repeat(1), class_sums))
+    d_x = _permuted_sums(x, zip(table, repeat(1), class_sums))
     # one row of class sums per index any class reaches
     indices = list(set().union(*class_sums))
     rows = [[sums.get(i, 0) for sums in class_sums] for i in indices]

