@@ -53,7 +53,7 @@ from .decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from .group_algebra import isotypic_projector
+from .group_algebra import _class_table, isotypic_projector
 from .linalg import VectorFamily
 from .sampling import random_family, scaled_family
 from .tensor import (
@@ -88,6 +88,7 @@ def properties(
     """The named properties at degree n as [(name, fn)], all drawing from
     the one rng; each trial draws its tensor dimension from dims, and each
     fn returns its number of checks, or None at the first failing trial."""
+    _class_table(n)  # first: its backstop comes before any listing
     partitions = enumerate_partitions(n)
     projectors = {lam: isotypic_projector(lam) for lam in partitions}
     perms = list(enumerate_permutations(n))

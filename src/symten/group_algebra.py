@@ -1,20 +1,24 @@
 """Formal rational combinations of permutations, and the central
 isotypic projector of each shape.
 
-Elements are sparse maps from permutation to coefficient; zero
-coefficients are never stored, so equality is map equality.
-`tensor.apply_element` applies an element to a tensor.  The projector's
-coefficients are character values, class by class (`_class_weights`,
-`_class_table`); the tests check them against the Young symmetrizers,
-which need no characters.
+An element is stored as runs: each run is a string of permutations, as
+one-line images packed n bytes each (n ints each past degree 255), that
+share one nonzero weight.  `tensor.apply_element` reads only the runs,
+one scaled weight per run.  The projector's weights are character
+values, class by class (`_class_weights`), so its runs are the classes
+of `_class_table` as they are stored; the tests check them against the
+Young symmetrizers, which need no characters.  The permutation ->
+coefficient map `terms`, and equality, which compares it, are derived
+from the runs on first read.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .combinatorics import (
@@ -27,25 +31,45 @@ from .combinatorics import (
 )
 from .characters import mn_character
 
+# a run's permutations as one-line images, and their one nonzero weight
+Run = tuple[bytes | tuple[int, ...], Fraction]
 
-def _canonical(terms: dict[Perm, Fraction]) -> dict[Perm, Fraction]:
-    return {p: c for p, c in terms.items() if c}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GroupAlgebraElement:
-    degree: int
-    terms: dict[Perm, Fraction] = field(default_factory=dict)
+    """A rational combination of the permutations of 1..degree, as runs."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical(self.terms))
+    degree: int
+    runs: tuple[Run, ...]
+
+    def __init__(self, degree: int, terms: dict[Perm, Fraction] | None = None):
+        """The element of the given terms: zeros are dropped, and adjacent
+        terms of equal weight share one run."""
+        pack = bytes if degree < 256 else tuple
+        nonzero = [(p, c) for p, c in (terms or {}).items() if c]
+        runs = tuple(
+            (pack(chain.from_iterable(p for p, _ in run)), w)
+            for w, run in groupby(nonzero, itemgetter(1))
+        )
+        self.__dict__.update(degree=degree, runs=runs)
 
     @classmethod
-    def _nonzero(cls, degree: int, terms: dict[Perm, Fraction]) -> "GroupAlgebraElement":
-        """The element of terms that are all nonzero already: not re-filtered."""
+    def _of_runs(cls, degree: int, runs: tuple[Run, ...]) -> "GroupAlgebraElement":
+        """The element of runs that are packed and nonzero already."""
         x = object.__new__(cls)
-        x.__dict__.update(degree=degree, terms=terms)
+        x.__dict__.update(degree=degree, runs=runs)
         return x
+
+    @functools.cached_property
+    def terms(self) -> dict[Perm, Fraction]:
+        """Permutation -> coefficient, in run order."""
+        n = self.degree
+        return {p: w for flat, w in self.runs for p in _members(flat, n)}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
+        return (self.degree, self.terms) == (other.degree, other.terms)
 
 
 @functools.cache
@@ -68,8 +92,9 @@ def _class_table(n: int) -> tuple[bytes, ...]:
     return tuple(map(bytes, table.values()))
 
 
-def _members(flat: bytes, n: int) -> Iterator[Perm]:
-    """The permutations of one class of `_class_table(n)`; S_0's has no bytes."""
+def _members(flat: bytes | tuple[int, ...], n: int) -> Iterator[Perm]:
+    """The permutations of one run, or of one class of `_class_table(n)`,
+    n images each; S_0's one permutation has none."""
     return zip(*[iter(flat)] * n) if n else iter([()])
 
 
@@ -88,18 +113,20 @@ def _class_weights(lam: Part, classes: list[Part]) -> tuple[Fraction, list[int]]
 def isotypic_projector(lam: Part) -> GroupAlgebraElement:
     """The central idempotent projecting onto the isotypic component of lam.
 
-    Coefficient of sigma is the `_class_weights` weight of sigma's class,
-    classes of character 0 left out.  Terms go in class by class from
-    `_class_table(n)`, one shared `Fraction` per character value, so the
-    runs `apply_element` scales once each are found mostly by identity.
+    Coefficient of sigma is the `_class_weights` weight of sigma's class.
+    The runs are the classes of `_class_table(n)` as stored, those of
+    character 0 left out, one run per string of adjacent classes with
+    one character value, and one shared `Fraction` per character value:
+    no permutation is unpacked.
     """
     lam = tuple(lam)
     n = sum(lam)
     table = _class_table(n)  # first: its backstop comes before any listing
     scale, chis = _class_weights(lam, enumerate_partitions(n))
     weights = {chi: scale * chi for chi in set(chis) if chi}
-    terms: dict[Perm, Fraction] = {}
-    for chi, flat in zip(chis, table):
-        if chi:
-            terms.update(zip(_members(flat, n), repeat(weights[chi])))
-    return GroupAlgebraElement._nonzero(n, terms)
+    classes = [(chi, flat) for chi, flat in zip(chis, table) if chi]
+    runs = tuple(
+        (b"".join(flat for _, flat in run), weights[chi])
+        for chi, run in groupby(classes, itemgetter(0))
+    )
+    return GroupAlgebraElement._of_runs(n, runs)

@@ -161,8 +161,12 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
-    """Whether the selected vectors are linearly independent."""
-    return span_key(family, indices) is not None
+    """Whether the selected vectors are linearly independent: whether
+    `_echelon` finds a pivot in each of their rows."""
+    positions = family._positions(indices)
+    if len(positions) > family.dim:
+        return False
+    return len(_echelon([family._scaled_rows[i] for i in positions])[1]) == len(positions)
 
 
 def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:

@@ -12,7 +12,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -131,23 +131,17 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     to integers over one denominator each, so the sums are `int`
     arithmetic, and each nonzero sum is divided by the product of the two
     denominators once, at the end.  The result equals the `Fraction` sum.
-    The terms go to the kernel as runs of equal adjacent weights, one
-    scaled weight each: a projector has one run per class, or per string
-    of classes with one character value.  Each run's permutations are
-    packed into one-line image bytes as the kernel reaches it, so a long
-    run is counted in C, per distinct image of each entry (see
-    `_permuted_sums`), and only one run's bytes exist at a time.
+    g's runs go to the kernel as they are stored, each with its one
+    scaled weight: a projector's are its classes, one run per string of
+    classes with one character value, as `_class_table` holds them, so a
+    long run is counted in C, per distinct image of each entry (see
+    `_permuted_sums`).
     """
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
-    runs = [(w, len(list(run))) for w, run in groupby(g.terms.values())]
-    scaled, d_g = _scaled([w for w, _ in runs])
-    perms = iter(g.terms)
-    # images past a byte's range stay ints, on the per-sigma path
-    pack = bytearray if g.degree < 256 else tuple
-    flats = (pack(chain.from_iterable(islice(perms, k))) for _, k in runs)
+    scaled, d_g = _scaled([w for _, w in g.runs])
     sums: dict[Index, int] = {}
-    d = d_g * _permuted_sums(x, zip(flats, scaled, repeat(sums)))
+    d = d_g * _permuted_sums(x, zip([flat for flat, _ in g.runs], scaled, repeat(sums)))
     return SparseTensor._nonzero(
         x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
     )

@@ -238,6 +238,20 @@ def test_limit_comes_before_any_enumeration(capsys, monkeypatch):
     assert captured.err == "error: degree 70 exceeds the size limit 8\n"
 
 
+def test_selfcheck_reaches_the_class_table_before_any_listing(capsys, monkeypatch):
+    # a raised --max-n lets degree 50 past the command's limit; the class
+    # table must refuse it before the 204,226 shapes of 50 are listed
+    def unlisted(n):
+        raise AssertionError(f"listed the shapes of {n}")
+
+    for module in (characters, crosscheck, group_algebra, tensor):
+        monkeypatch.setattr(module, "enumerate_partitions", unlisted)
+    assert cli.main(["selfcheck", "--n", "50", "--trials", "0", "--max-n", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree 50 is past the class table's limit of 16")
+
+
 @pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])
 def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
     # listing S_17 by class would take 17! permutations; the table stops at 16

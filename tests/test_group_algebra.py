@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from symten import combinatorics, group_algebra
 from symten.characters import mn_character
 from symten.combinatorics import cycle_type, enumerate_partitions, enumerate_permutations
 from symten.group_algebra import GroupAlgebraElement, _class_table, _members, isotypic_projector
+from symten.sampling import random_family
+from symten.tensor import apply_element, decomposable
 from tests.reference import (
     column_antisymmetrizer,
     combination,
@@ -137,6 +141,68 @@ def test_projector_terms_come_class_by_class(n):
         assert classes == sorted(classes)
         # one shared Fraction per distinct weight
         assert len({id(w) for w in terms.values()}) == len(set(terms.values()))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_projector_runs_are_the_nonzero_classes_split_where_chi_changes(n):
+    partitions = enumerate_partitions(n)
+    table = _class_table(n)
+    for lam in partitions:
+        scale = Fraction(hook_length_dimension(lam), math.factorial(n))
+        expected: list[list] = []  # [bytes, chi] per run
+        for ct, flat in zip(partitions, table):
+            chi = mn_character(lam, ct)
+            if chi and expected and expected[-1][1] == chi:
+                expected[-1][0] += flat
+            elif chi:
+                expected.append([flat, chi])
+        runs = isotypic_projector(lam).runs
+        assert [(flat, w) for flat, w in runs] == [(flat, scale * chi) for flat, chi in expected]
+        assert all(type(flat) is bytes for flat, _ in runs)
+
+
+def test_equality_compares_terms_not_runs():
+    one, swap = (1, 2, 3), (2, 1, 3)
+    a = GroupAlgebraElement(3, {one: Fraction(1), swap: Fraction(2), (1, 3, 2): Fraction(1)})
+    b = GroupAlgebraElement(3, {one: Fraction(1), (1, 3, 2): Fraction(1), swap: Fraction(2)})
+    assert a.runs == ((bytes(one), 1), (bytes(swap), 2), (bytes((1, 3, 2)), 1))
+    assert b.runs == ((bytes(one + (1, 3, 2)), 1), (bytes(swap), 2))
+    assert a == b
+    assert a != GroupAlgebraElement(3, {one: Fraction(1)})
+    assert GroupAlgebraElement(2) != GroupAlgebraElement(3)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_projector_equals_the_element_of_its_terms(n):
+    rng = random.Random(n)
+    for lam in enumerate_partitions(n):
+        projector = isotypic_projector(lam)
+        built = GroupAlgebraElement(n, dict(projector.terms))
+        assert built == projector
+        # the dict's adjacent equal weights regroup into the projector's runs
+        assert built.runs == projector.runs
+        x = decomposable(random_family(rng, n, 3, adversarial=True))
+        assert apply_element(x, built).entries == apply_element(x, projector).entries
+
+
+def test_applying_a_projector_builds_no_terms():
+    family = random_family(random.Random(3), 6, 3)
+    for lam in enumerate_partitions(6):
+        projector = isotypic_projector(lam)
+        apply_element(decomposable(family), projector)
+        assert "terms" not in vars(projector)
+
+
+def test_projector_build_is_small_once_the_class_table_is_warm():
+    # the 40,320 permutations of S_8 as a dict would take megabytes
+    _class_table(8)
+    tracemalloc.start()
+    try:
+        isotypic_projector((4, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_projectors_of_one_degree_share_one_class_table(monkeypatch):

@@ -395,6 +395,21 @@ def test_independence_matches_nonzero_minor():
                 assert is_independent(family, subset) == has_minor
 
 
+def test_independence_agrees_with_span_key():
+    # zero, repeated and parallel vectors, and selections past the dimension
+    rng = random.Random(19)
+    families = [fam((1, 2, 0), (0, 0, 0), (1, 2, 0), (-2, -4, 0), (0, 1, 1), (F(1, 2), 0, 3))]
+    families += [
+        fam(*(tuple(rng.randint(-1, 1) * rng.choice([1, F(1, 3)]) for _ in range(3))
+              for _ in range(6)))
+        for _ in range(20)
+    ]
+    for family in families:
+        for size in range(len(family) + 1):
+            for subset in itertools.combinations(range(1, len(family) + 1), size):
+                assert is_independent(family, subset) == (span_key(family, subset) is not None)
+
+
 def test_reading_order_signs_cancel_in_products():
     # re-reading a column set in a different internal order flips the sign
     # of its wedge wherever the set occurs; since each set occurs once as a
