@@ -29,6 +29,10 @@ that sweep.
   with independent columns.
 - equality_matches_oracle: the da Cruz-Dias da Silva column-system
   conditions agree with comparing the two families' swept components.
+  Trials cycle through four kinds of u: unrelated to v, a rescaling of
+  v with product 1, one with another product, and g.v for a g of
+  determinant 1 (`shifted_family`), whose components are equal for the
+  shapes (k^dim) without u being a rescaling of v.
 
 `selfcheck` runs every property once, and the tests call the same ones.
 """
@@ -42,7 +46,6 @@ from .combinatorics import (
     Rows,
     column_system_of,
     compose,
-    enumerate_partitions,
     enumerate_permutations,
     is_filling,
     tableau_shape,
@@ -55,7 +58,7 @@ from .decision import (
 )
 from .group_algebra import _class_table, isotypic_projector
 from .linalg import VectorFamily
-from .sampling import random_family, scaled_family
+from .sampling import random_family, scaled_family, shifted_family
 from .tensor import (
     act,
     apply_element,
@@ -65,6 +68,8 @@ from .tensor import (
     tensor_add,
     tensor_equal,
 )
+
+DIMS = (2, 3)  # the tensor dimensions a trial draws from
 
 
 def _standard_witness(family: VectorFamily, lam: Part, rows: Rows) -> bool:
@@ -79,22 +84,16 @@ def _standard_witness(family: VectorFamily, lam: Part, rows: Rows) -> bool:
     )
 
 
-def properties(
-    n: int,
-    trials: int,
-    rng: random.Random,
-    dims: tuple[int, ...] = (2, 3),
-):
+def properties(n: int, trials: int, rng: random.Random):
     """The named properties at degree n as [(name, fn)], all drawing from
-    the one rng; each trial draws its tensor dimension from dims, and each
+    the one rng; each trial draws its tensor dimension from DIMS, and each
     fn returns its number of checks, or None at the first failing trial."""
-    _class_table(n)  # first: its backstop comes before any listing
-    partitions = enumerate_partitions(n)
+    partitions, _ = _class_table(n)
     projectors = {lam: isotypic_projector(lam) for lam in partitions}
     perms = list(enumerate_permutations(n))
 
     def adversarial_family():
-        return random_family(rng, n, rng.choice(dims), adversarial=True)
+        return random_family(rng, n, rng.choice(DIMS), adversarial=True)
 
     def right_action_law(trial: int) -> bool:
         fam = adversarial_family()
@@ -125,11 +124,16 @@ def properties(
         return True
 
     def equality_matches_oracle(trial: int) -> bool:
-        fv = adversarial_family()
-        if trial % 3 == 0:
+        kind = trial % 4
+        if kind == 3:
+            fv = random_family(rng, n, rng.choice(DIMS))
+            fu = shifted_family(fv)
+        elif kind == 0:
+            fv = adversarial_family()
             fu = random_family(rng, n, fv.dim, adversarial=True)
         else:
-            fu = scaled_family(rng, fv, unit_product=(trial % 3 == 1))
+            fv = adversarial_family()
+            fu = scaled_family(rng, fv, unit_product=(kind == 1))
         cv = isotypic_components(decomposable(fv))
         cu = isotypic_components(decomposable(fu))
         return all(

@@ -31,12 +31,12 @@ PRODUCT_NOT_ONE = "product_not_one"
 
 @dataclass(frozen=True)
 class SystemWitness:
-    """A column permutation certifying equality on one column system."""
+    """A column permutation certifying equality on one column system: its
+    scalars multiply to 1."""
 
     system: ColumnSystem
     sigma: tuple[int, ...]  # 1-based: column j is matched to column sigma[j-1]
     scalars: tuple[Fraction, ...]
-    product: Fraction
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,6 @@ def gamas_standard(family: VectorFamily, lam: Part) -> tuple[bool, Optional[Rows
     return rows is not None, rows
 
 
-_ONE = Fraction(1)  # the product of every witness
-
-
 def _search_matching(
     system: ColumnSystem,
     pairs: list[tuple[SpanKey, SpanKey]],
@@ -146,7 +143,7 @@ def _search_matching(
         return None, SystemFailure(
             system, PRODUCT_NOT_ONE, tuple(scalars), Fraction(num, den)
         )
-    return SystemWitness(system, tuple(sigma), tuple(scalars), _ONE), None
+    return SystemWitness(system, tuple(sigma), tuple(scalars)), None
 
 
 def decide_equality(
@@ -168,7 +165,6 @@ def decide_equality(
 
     failures: list[SystemFailure] = []
     witnesses: list[SystemWitness] = []
-    any_independent = False
     v_keys, u_keys = _SpanKeys(fv), _SpanKeys(fu)
     ratios: dict[tuple, Fraction] = {}  # see _search_matching
 
@@ -187,7 +183,6 @@ def decide_equality(
             continue
         if not v_ind:
             continue
-        any_independent = True
         witness, failure = _search_matching(system, pairs, ratios)
         if witness is not None:
             witnesses.append(witness)
@@ -198,6 +193,6 @@ def decide_equality(
 
     if failures:
         return EqualityVerdict(False, "failed", tuple(failures), tuple(witnesses))
-    if not any_independent:
+    if not witnesses:
         return EqualityVerdict(True, "both_vanish", (), ())
     return EqualityVerdict(True, "witnessed", (), tuple(witnesses))

@@ -62,3 +62,17 @@ def scaled_family(
             tuple(s * x for x in v) for s, v in zip(scalars, base.vectors)
         ),
     )
+
+
+def shifted_family(base: VectorFamily) -> VectorFamily:
+    """u = g.v for g the cyclic shift of coordinates, the new first one
+    negated when dim is even, so that det g = 1.
+
+    g is no rescaling, so v's and u's eliminations swap different rows,
+    yet for every shape (k^dim) the symmetrized tensors are equal: g acts
+    on that isotypic component by det(g)^k.
+    """
+    sign = -1 if base.dim % 2 == 0 else 1
+    return VectorFamily(
+        base.dim, tuple((sign * v[-1], *v[:-1]) for v in base.vectors)
+    )

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .combinatorics import Part, Perm, enumerate_partitions
+from .combinatorics import Part, Perm
 from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _members
 from .linalg import VectorFamily, _scaled, format_rational
 
@@ -79,12 +79,12 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
     of the run into sums, on integers; returns their denominator.
 
     flat holds the run's permutations as one-line images, n bytes each
-    (S_0's one permutation has none; past degree 255, n ints each).
+    (S_0's one permutation has none).
     `linalg._scaled` puts x's entries over one denominator d, so each sums
     holds numerators over d, and w times an entry is one `int` product
     per run.  Each run takes one of two paths:
 
-    - counted, when 2 <= n <= 255, every index of x is below 256 and the
+    - counted, when n >= 2, every index of x is below 256 and the
       run has at least three permutations per entry of x: the byte table
       of an entry's word a sends image j to letter a_j, so one
       `translate` gives the entry's image under every sigma of the
@@ -101,7 +101,7 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
     n = x.order
     # a leading pad lets sigma's one-based images pick the slots directly
     padded = [(0, *index) for index in x.entries]
-    countable = 1 < n < 256 and max(map(max, x.entries), default=0) < 256
+    countable = n > 1 and max(map(max, x.entries), default=0) < 256
     unpack = struct.Struct(f"{n}s").iter_unpack
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
@@ -160,10 +160,9 @@ def isotypic_components(x: SparseTensor) -> dict[Part, SparseTensor]:
     them up with the integer character values.
     """
     n = x.order
-    table = _class_table(n)  # first: its backstop comes before any listing
-    shapes = enumerate_partitions(n)
+    shapes, classes = _class_table(n)
     class_sums: list[dict[Index, int]] = [{} for _ in shapes]
-    d_x = _permuted_sums(x, zip(table, repeat(1), class_sums))
+    d_x = _permuted_sums(x, zip(classes, repeat(1), class_sums))
     # one row of class sums per index any class reaches
     indices = list(set().union(*class_sums))
     rows = [[sums.get(i, 0) for sums in class_sums] for i in indices]

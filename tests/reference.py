@@ -69,9 +69,17 @@ def col_group(rows: Rows) -> list[Perm]:
     return _setwise_stabilizer(tableau_columns(rows), sum(tableau_shape(rows)))
 
 
+def of_terms(degree: int, terms: dict[Perm, int | Fraction]) -> GroupAlgebraElement:
+    """The element of a permutation -> coefficient map: one run per
+    nonzero term, in the map's order."""
+    return GroupAlgebraElement(
+        degree, tuple((bytes(p), Fraction(c)) for p, c in terms.items() if c)
+    )
+
+
 def element(degree: int, *terms: tuple[Perm, int | Fraction]) -> GroupAlgebraElement:
     """The element with the given (permutation, coefficient) terms."""
-    return GroupAlgebraElement(degree, {p: Fraction(c) for p, c in terms})
+    return of_terms(degree, dict(terms))
 
 
 def combination(*terms: tuple[int | Fraction, GroupAlgebraElement]) -> GroupAlgebraElement:
@@ -81,7 +89,7 @@ def combination(*terms: tuple[int | Fraction, GroupAlgebraElement]) -> GroupAlge
     for c, x in terms:
         for p, a in x.terms.items():
             total[p] = total.get(p, 0) + c * a
-    return GroupAlgebraElement(terms[0][1].degree, total)
+    return of_terms(terms[0][1].degree, total)
 
 
 def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -97,21 +105,17 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
         for t, b in y.terms.items():
             st = compose(s, t)
             terms[st] = terms.get(st, 0) + a * b
-    return GroupAlgebraElement(x.degree, terms)
+    return of_terms(x.degree, terms)
 
 
 def row_symmetrizer(rows: Rows) -> GroupAlgebraElement:
     """Sum over the row group of the tableau, all coefficients 1."""
-    return GroupAlgebraElement(
-        sum(tableau_shape(rows)), dict.fromkeys(row_group(rows), Fraction(1))
-    )
+    return of_terms(sum(tableau_shape(rows)), dict.fromkeys(row_group(rows), 1))
 
 
 def column_antisymmetrizer(rows: Rows) -> GroupAlgebraElement:
     """Signed sum over the column group of the tableau."""
-    return GroupAlgebraElement(
-        sum(tableau_shape(rows)), {p: Fraction(sign(p)) for p in col_group(rows)}
-    )
+    return of_terms(sum(tableau_shape(rows)), {p: sign(p) for p in col_group(rows)})
 
 
 def young_symmetrizer(rows: Rows) -> GroupAlgebraElement:

@@ -14,7 +14,7 @@ import pytest
 
 from symten import cli, crosscheck
 from symten.combinatorics import enumerate_partitions, tableau_columns
-from symten.group_algebra import GroupAlgebraElement, isotypic_projector
+from symten.group_algebra import isotypic_projector
 from symten.linalg import is_independent
 from symten.sampling import random_family, scaled_family
 from symten.tensor import apply_element, decomposable, is_zero, tensor_equal
@@ -147,15 +147,15 @@ def test_criterion_6_group_algebra_suite(projectors):
     spot = [(5,), (3, 2), (2, 2, 1)]
     for lam in spot:
         p = projectors(lam)
-        assert ga_multiply(p, p) == p
+        assert ga_multiply(p, p).terms == p.terms
         rows = tuple(
             tuple(range(sum(lam[:i]) + 1, sum(lam[:i + 1]) + 1)) for i in range(len(lam))
         )
         c = young_symmetrizer(rows)
-        assert ga_multiply(p, c) == c
+        assert ga_multiply(p, c).terms == c.terms
         kappa = Fraction(math.factorial(5), hook_length_dimension(lam))
-        assert ga_multiply(c, c) == combination((kappa, c))
-    assert ga_multiply(projectors((5,)), projectors((3, 2))) == GroupAlgebraElement(5)
+        assert ga_multiply(c, c).terms == combination((kappa, c)).terms
+    assert ga_multiply(projectors((5,)), projectors((3, 2))).terms == {}
     report("criterion 6 (group-algebra suite)", "n=5 spot checks")
 
 

@@ -28,11 +28,11 @@ from symten.decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from symten.group_algebra import GroupAlgebraElement, isotypic_projector
+from symten.group_algebra import _class_table, isotypic_projector
 from symten.linalg import VectorFamily, transition_scalar
-from symten.sampling import random_family, scaled_family
+from symten.sampling import random_family, scaled_family, shifted_family
 from symten.tensor import apply_element, decomposable, is_zero, isotypic_components, tensor_equal
-from tests.reference import combination, fam, sign
+from tests.reference import combination, fam, of_terms, sign
 from tests.test_cli import DATA
 
 F = Fraction
@@ -142,7 +142,6 @@ def test_decide_equality_spec_examples():
     verdict = decide_equality(v, fam((2, 0), (0, F(1, 2))), (2,))
     assert verdict.equal
     assert sorted(verdict.witnesses[0].scalars) == [F(1, 2), F(2)]
-    assert verdict.witnesses[0].product == 1
 
     # swapping the vectors of a symmetric tensor
     verdict = decide_equality(v, fam((0, 1), (1, 0)), (2,))
@@ -183,7 +182,6 @@ def test_equality_divides_each_column_pair_once(monkeypatch):
         for column, s in zip(w.system, w.sigma)
     ]
     assert len(divisions) == len(set(matched)) < len(matched)
-    assert len({id(w.product) for w in verdict.witnesses}) == 1
 
 
 def test_decide_equality_input_errors():
@@ -317,7 +315,7 @@ def _backtrack_matching(fv, fu, system):
             scalars = tuple(candidates[i][t] for i, t in enumerate(assignment))
             if product == 1:
                 sigma = tuple(t + 1 for t in assignment)
-                return SystemWitness(system, sigma, scalars, product)
+                return SystemWitness(system, sigma, scalars)
             if fallback is None:
                 fallback = SystemFailure(system, PRODUCT_NOT_ONE, scalars, product)
             return None
@@ -425,10 +423,11 @@ def _components_without_identity(x):
     """Every isotypic component with the identity's class left out of the
     sweep: the projector applied without its identity term."""
     components = {}
-    for lam in enumerate_partitions(x.order):
+    shapes, _ = _class_table(x.order)
+    for lam in shapes:
         terms = dict(isotypic_projector(lam).terms)
         del terms[tuple(range(1, x.order + 1))]
-        components[lam] = apply_element(x, GroupAlgebraElement(x.order, terms))
+        components[lam] = apply_element(x, of_terms(x.order, terms))
     return components
 
 
@@ -446,6 +445,12 @@ def _reversed_rows(fam, lam):
     return standard, rows and tuple(row[::-1] for row in rows)
 
 
+def _class_table_without_last_shape(n):
+    """The class table with the identity's shape, listed last, left off."""
+    shapes, classes = _class_table(n)
+    return shapes[:-1], classes
+
+
 def _flip_verdict(fv, fu, lam):
     verdict = decide_equality(fv, fu, lam)
     return dataclasses.replace(verdict, equal=not verdict.equal)
@@ -456,8 +461,7 @@ def _flip_verdict(fv, fu, lam):
     [
         ("right_action_law", "compose", lambda s, t: compose(t, s)),
         ("projector_idempotent_and_complete", "isotypic_projector", _leaky_projector),
-        ("projector_idempotent_and_complete", "enumerate_partitions",
-         lambda n: enumerate_partitions(n)[:-1]),
+        ("projector_idempotent_and_complete", "_class_table", _class_table_without_last_shape),
         ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x)),
         ("gamas_matches_oracle", "gamas_standard", lambda fam, lam: (False, None)),
         ("gamas_matches_oracle", "gamas_standard", _reversed_rows),
@@ -523,9 +527,11 @@ def test_crosscheck_property_catches_a_fault_in_its_last_trial(
 
 
 def test_equality_property_draws_every_kind_of_u(monkeypatch):
-    """u unrelated to v, a unit-product rescaling of v and one of another
-    product all occur, and unrelated ones reach unequal components."""
-    draws, outcomes = [], Counter()
+    """u unrelated to v, a unit-product rescaling of v, one of another
+    product and v moved by a shift of determinant 1 all occur; unrelated
+    ones reach unequal components, and shifted ones both unequal and
+    equal nonzero components."""
+    draws, outcomes, equal_nonzero = [], Counter(), Counter()
 
     def drawn_family(*args, **kwargs):
         draws.append("random")
@@ -535,18 +541,38 @@ def test_equality_property_draws_every_kind_of_u(monkeypatch):
         draws.append("unit" if unit_product else "non-unit")
         return scaled_family(rng, base, unit_product)
 
+    def drawn_shift(base):
+        draws.append("shifted")
+        return shifted_family(base)
+
     def compared(x, y):
         equal = tensor_equal(x, y)
         # each trial draws v with random_family first, then u
         kind = "unrelated" if draws[-2:] == ["random", "random"] else draws[-1]
         outcomes[kind, equal] += 1
+        equal_nonzero[kind] += equal and not is_zero(x)
         return equal
 
     monkeypatch.setattr(crosscheck, "random_family", drawn_family)
     monkeypatch.setattr(crosscheck, "scaled_family", drawn_scaling)
+    monkeypatch.setattr(crosscheck, "shifted_family", drawn_shift)
     monkeypatch.setattr(crosscheck, "tensor_equal", compared)
     prop = dict(crosscheck.properties(3, 25, random.Random(0)))["equality_matches_oracle"]
     assert prop() == 25 * 3
-    assert {kind for kind, _ in outcomes} == {"unrelated", "unit", "non-unit"}
+    assert {kind for kind, _ in outcomes} == {"unrelated", "unit", "non-unit", "shifted"}
     assert outcomes["unrelated", False] >= 1
     assert outcomes["unit", False] == 0
+    assert outcomes["shifted", False] >= 1
+    assert equal_nonzero["shifted"] >= 1
+
+
+def test_shifted_family_is_a_change_of_coordinates_of_determinant_one():
+    for dim in (1, 2, 3, 4):
+        basis = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        g = shifted_family(VectorFamily(dim, basis)).vectors  # the images g e_i
+        det = sum(
+            sign(p) * math.prod(g[i][p[i] - 1] for i in range(dim))
+            for p in itertools.permutations(range(1, dim + 1))
+        )
+        assert det == 1
+        assert dim == 1 or all(g[i][i] == 0 for i in range(dim))

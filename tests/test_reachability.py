@@ -22,9 +22,7 @@ UNREACHED = {
     "combinatorics.enumerate_standard": "perfbench traces it by name",
     "combinatorics.enumerate_column_systems": "perfbench traces it by name",
     "linalg.determinant": "the certificates from products of minors planned in ROADMAP.md",
-    "group_algebra.GroupAlgebraElement.__init__": "the element of a dict, which the tests build",
     "group_algebra.GroupAlgebraElement.terms": "read by the tests and by perfbench's tracer",
-    "group_algebra.GroupAlgebraElement.__eq__": "element equality, which only the tests compare",
 }
 
 # every golden command, the flags the goldens leave out, and error exits
