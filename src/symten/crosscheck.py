@@ -1,4 +1,5 @@
-"""Randomized cross-checks of the deciders against the brute-force oracle.
+"""Randomized cross-checks of the deciders against Gram forms, and of the
+brute-force oracle itself.
 
 Each property checks one trial: given the trial index, it draws random
 families from the shared rng (adversarial ones with repeated, zero and
@@ -9,37 +10,50 @@ first failing one, where the property returns None (not an assert, which
 trial.  To add a property, write one more function of the trial index and
 list it in `properties` with its checks per trial.
 
-The oracle side takes every projected tensor of a family from one
-`isotypic_components` sweep over S_n, which sums x over each conjugacy
-class and combines the class sums with the character table; it never
-applies a projector element.  The projector elements of
-`isotypic_projector` are applied, with `apply_element`, only to check
-that sweep.
+The deciders are compared with Gram forms, not with tensors.  For
+x = v_1 (x) ... (x) v_n and y = u_1 (x) ... (x) u_n, the isotypic
+projector P_lam is self-adjoint and idempotent, so
+<P_lam x, P_lam y> = (f^lam / n!) sum_sigma chi_lam(sigma) prod_i <v_sigma(i), u_i>,
+Schur's generalized matrix function of the Gram matrix (Schur, 1918;
+Merris, Multilinear Algebra, 1997).  Its class sums (`_class_sums`) are
+taken once per pair of families, on the integer rows, and every shape
+reads its form off them with the weights of `_class_weights`; no tensor
+entry is formed.  The form is positive definite over Q, so P_lam x = 0
+exactly when its form with itself is 0, and P_lam x = P_lam y exactly
+when the form of x - y with itself is 0.
+
+The brute-force oracle, one `isotypic_components` sweep over S_n, is
+checked on its own: against the projector elements of
+`isotypic_projector`, applied with `apply_element`, and against the Gram
+forms.
 
 - right_action_law: (x.s).t = x.(st) for the place-permutation action;
   one check per trial, where the others make one per shape of n.
 - projector_idempotent_and_complete: each component of the sweep is
-  fixed by its isotypic projector element, and the components sum to x.
-  The first checks the sweep against the projector elements, the second
-  the column orthogonality of the character table.
+  fixed by its isotypic projector element, its squared norm is its Gram
+  form, and the components sum to x.  The first two check the sweep
+  against the projector elements and the Gram forms, the last the column
+  orthogonality of the character table.
 - gamas_matches_oracle: Gamas' theorem (Linear Algebra Appl. 108, 1988).
-  The column-system scan, the standard-tableau scan and the swept
-  component agree on vanishing, a witness system has independent
-  columns, and a witness tableau is a standard tableau of the shape
-  with independent columns.
+  The column-system scan, the standard-tableau scan and the Gram form
+  agree on vanishing, a witness system has independent columns, and a
+  witness tableau is a standard tableau of the shape with independent
+  columns.
 - equality_matches_oracle: the da Cruz-Dias da Silva column-system
-  conditions agree with comparing the two families' swept components.
-  Trials cycle through four kinds of u: unrelated to v, a rescaling of
-  v with product 1, one with another product, and g.v for a g of
-  determinant 1 (`shifted_family`), whose components are equal for the
-  shapes (k^dim) without u being a rescaling of v.
+  conditions agree with the Gram form of the difference of the two
+  families' tensors.  Trials cycle through four kinds of u: unrelated to
+  v, a rescaling of v with product 1, one with another product, and g.v
+  for a g of determinant 1 (`shifted_family`), whose components are
+  equal for the shapes (k^dim) without u being a rescaling of v.
 
 `selfcheck` runs every property once, and the tests call the same ones.
 """
 from __future__ import annotations
 
 import functools
+import math
 import random
+from operator import getitem, mul
 
 from .combinatorics import (
     Part,
@@ -56,20 +70,45 @@ from .decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from .group_algebra import _class_table, isotypic_projector
-from .linalg import VectorFamily
+from .group_algebra import _class_table, _class_weights, _members, isotypic_projector
+from .linalg import VectorFamily, _scaled
 from .sampling import random_family, scaled_family, shifted_family
 from .tensor import (
     act,
     apply_element,
     decomposable,
-    is_zero,
     isotypic_components,
     tensor_add,
     tensor_equal,
 )
 
 DIMS = (2, 3)  # the tensor dimensions a trial draws from
+
+
+def _class_sums(fv: VectorFamily, fu: VectorFamily) -> list[int]:
+    """S_k = sum over sigma in class k of prod_i <V_sigma(i), U_i>, for each
+    class k of `_class_table(n)`, in its order.
+
+    V and U are the families' integer rows (`VectorFamily._scaled_rows`),
+    so S_k is s_v * s_u times the sum for v and u, with s_v and s_u the
+    products of the families' row scales.
+    """
+    n = len(fv)
+    # column i of the Gram matrix <V_a, U_i>, padded so that sigma's
+    # one-based images pick its entries
+    columns = [
+        (0, *(sum(map(mul, v, u)) for v, _ in fv._scaled_rows)) for u, _ in fu._scaled_rows
+    ]
+    _, classes = _class_table(n)
+    return [
+        sum(math.prod(map(getitem, columns, sigma)) for sigma in _members(flat, n))
+        for flat in classes
+    ]
+
+
+def _scale(family: VectorFamily) -> int:
+    """s: the product of the family's row scales."""
+    return math.prod(scale for _, scale in family._scaled_rows)
 
 
 def _standard_witness(family: VectorFamily, lam: Part, rows: Rows) -> bool:
@@ -90,7 +129,14 @@ def properties(n: int, trials: int, rng: random.Random):
     fn returns its number of checks, or None at the first failing trial."""
     partitions, _ = _class_table(n)
     projectors = {lam: isotypic_projector(lam) for lam in partitions}
+    weights = [_class_weights(lam, partitions) for lam in partitions]
     perms = list(enumerate_permutations(n))
+
+    def forms(fv: VectorFamily, fu: VectorFamily) -> list[int]:
+        """sum_k chi_k S_k for each shape, in partitions' order: n!/f^lam
+        times <P_lam x, P_lam y> times s_v s_u (see `_class_sums`)."""
+        sums = _class_sums(fv, fu)
+        return [sum(map(mul, chis, sums)) for _, chis in weights]
 
     def adversarial_family():
         return random_family(rng, n, rng.choice(DIMS), adversarial=True)
@@ -102,20 +148,28 @@ def properties(n: int, trials: int, rng: random.Random):
         return tensor_equal(act(act(x, s), t), act(x, compose(s, t)))
 
     def projector_idempotent_and_complete(trial: int) -> bool:
-        x = decomposable(adversarial_family())
+        fam = adversarial_family()
+        x = decomposable(fam)
         components = isotypic_components(x)
         once = [components[lam] for lam in partitions]
+        s_v = _scale(fam)
+        for c, (scale, _), form in zip(once, weights, forms(fam, fam)):
+            # ||c||^2 = scale * form / s_v^2, each side over one denominator
+            entries, d = _scaled(c.entries.values())
+            if sum(map(mul, entries, entries)) * s_v * s_v * scale.denominator != (
+                scale.numerator * form * d * d
+            ):
+                return False
         return all(
             tensor_equal(apply_element(c, projectors[lam]), c) for lam, c in zip(partitions, once)
         ) and tensor_equal(functools.reduce(tensor_add, once), x)
 
     def gamas_matches_oracle(trial: int) -> bool:
         fam = adversarial_family()
-        components = isotypic_components(decomposable(fam))
-        for lam in partitions:
+        for lam, form in zip(partitions, forms(fam, fam)):
             nonzero, witness = gamas_nonvanishing(fam, lam)
             standard, tableau = gamas_standard(fam, lam)
-            if nonzero != (not is_zero(components[lam])) or standard != nonzero:
+            if nonzero != (form != 0) or standard != nonzero:
                 return False
             if witness is not None and not columns_independent(fam, witness):
                 return False
@@ -134,11 +188,15 @@ def properties(n: int, trials: int, rng: random.Random):
         else:
             fv = adversarial_family()
             fu = scaled_family(rng, fv, unit_product=(kind == 1))
-        cv = isotypic_components(decomposable(fv))
-        cu = isotypic_components(decomposable(fu))
+        s_v, s_u = _scale(fv), _scale(fu)
+        # ||P x - P y||^2 times n!/f^lam s_v^2 s_u^2
+        distances = [
+            s_u * s_u * vv - 2 * s_v * s_u * vu + s_v * s_v * uu
+            for vv, vu, uu in zip(forms(fv, fv), forms(fv, fu), forms(fu, fu))
+        ]
         return all(
-            decide_equality(fv, fu, lam).equal == tensor_equal(cv[lam], cu[lam])
-            for lam in partitions
+            decide_equality(fv, fu, lam).equal == (distance == 0)
+            for lam, distance in zip(partitions, distances)
         )
 
     def run(check, checks_per_trial: int) -> int | None:

@@ -2,11 +2,12 @@
 
 Everything here is one fraction-free elimination, `_echelon`, on
 integers: each rational row is scaled by the lcm of its denominators
-first, and only the resulting minor is a `fractions.Fraction`.  Entries
-are ints or Fractions and no floating point exists anywhere in the
-package, so every result is exact and bit-reproducible.  Selections of
-vectors are always read in increasing index order; the equality decider
-relies on that single convention for sign consistency of wedge products.
+first, and only a minor that `span_key` or `determinant` returns is a
+`fractions.Fraction`.  Entries are ints or Fractions and no floating
+point exists anywhere in the package, so every result is exact and
+bit-reproducible.  Selections of vectors are always read in increasing
+index order; the equality decider relies on that single convention for
+sign consistency of wedge products.
 """
 from __future__ import annotations
 
@@ -68,8 +69,9 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        p, _, q = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r:.40}") from None
     raise ValueError(f"not an integer or a p/q string: {value!r:.40}")
@@ -92,7 +94,7 @@ def _scaled(values: Collection[Fraction]) -> tuple[tuple[int, ...], int]:
 
 def _echelon(
     rows: Sequence[tuple[Sequence[int], int]],
-) -> tuple[list[list[int]], list[int], Fraction]:
+) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination on integer-scaled rows.
 
     rows are (integer row, scale) pairs as `_scaled` makes them, standing
@@ -104,10 +106,12 @@ def _echelon(
     loop stops as soon as every row has a pivot.
 
     Returns the eliminated rows, the pivot column of each of the first
-    len(pivots) rows, and the minor of the rational rows on the pivot
-    columns (0 when some row has no pivot): the last pivot, signed by the
-    row swaps, over the product of the scales.  The first len(pivots)
-    rows are that integer pivot times the reduced row-echelon rows.
+    len(pivots) rows, and the integer minor on the pivot columns (0 when
+    some row has no pivot): the last pivot, signed by the row swaps.  Over
+    the product of the scales, it is the minor of the rational rows; only
+    `span_key` and `determinant` divide it into a `Fraction`.  The first
+    len(pivots) rows are that integer pivot times the reduced row-echelon
+    rows.
     """
     m = [list(row) for row, _ in rows]
     pivots: list[int] = []
@@ -131,9 +135,7 @@ def _echelon(
                 f = row[c]
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, piv)]
         pivots.append(c)
-    if len(pivots) < n_rows:
-        return m, pivots, Fraction(0)
-    return m, pivots, Fraction(sign * pivot, math.prod(scale for _, scale in rows))
+    return m, pivots, sign * pivot if len(pivots) == n_rows else 0
 
 
 def _exact(rows: Sequence[Sequence]) -> Sequence[Sequence]:
@@ -157,7 +159,8 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _echelon([_scaled(row) for row in _exact(rows)])[2]
+    scaled = [_scaled(row) for row in _exact(rows)]
+    return Fraction(_echelon(scaled)[2], math.prod(scale for _, scale in scaled))
 
 
 def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
@@ -181,8 +184,9 @@ def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
     positions = family._positions(indices)
     if len(positions) > family.dim:
         return None
-    m, pivots, minor = _echelon([family._scaled_rows[i] for i in positions])
-    if len(pivots) < len(m):
+    rows = [family._scaled_rows[i] for i in positions]
+    m, pivots, minor = _echelon(rows)
+    if not minor:
         return None
     basis = []
     for row, c in zip(m, pivots):
@@ -190,7 +194,7 @@ def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
         if row[c] < 0:
             g = -g
         basis.append(tuple([x // g for x in row]))
-    return tuple(basis), minor
+    return tuple(basis), Fraction(minor, math.prod(scale for _, scale in rows))
 
 
 def span_equal(

@@ -16,6 +16,7 @@ from symten.combinatorics import (
     enumerate_column_systems,
     enumerate_partitions,
 )
+from symten.crosscheck import _class_sums
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
     NO_SPAN_MATCHING,
@@ -23,15 +24,16 @@ from symten.decision import (
     EqualityVerdict,
     SystemFailure,
     SystemWitness,
+    _search_matching,
     columns_independent,
     decide_equality,
     gamas_nonvanishing,
     gamas_standard,
 )
-from symten.group_algebra import _class_table, isotypic_projector
+from symten.group_algebra import _class_table, _class_weights, isotypic_projector
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
-from symten.tensor import apply_element, decomposable, is_zero, isotypic_components, tensor_equal
+from symten.tensor import apply_element, decomposable, isotypic_components, tensor_equal
 from tests.reference import combination, fam, of_terms, sign
 from tests.test_cli import DATA
 
@@ -438,6 +440,25 @@ def _components_of_next_shape(x):
     return {lam: components[shapes[(k + 1) % len(shapes)]] for k, lam in enumerate(shapes)}
 
 
+def _class_sums_without_identity(fv, fu):
+    """The Gram forms' class sums with the identity's class, listed last,
+    left out."""
+    sums = _class_sums(fv, fu)
+    return sums[:-1] + [0]
+
+
+def _identity_class_sum(fv, fu):
+    """Class sums that are 0 but for the identity's class, which is 1:
+    every form is then f^lam, so no projected tensor vanishes."""
+    return [0] * (len(_class_sums(fv, fu)) - 1) + [1]
+
+
+def _weights_of_next_shape(lam, shapes):
+    """Each shape given the character values of the shape after it."""
+    scale, _ = _class_weights(lam, shapes)
+    return scale, _class_weights(shapes[(shapes.index(lam) + 1) % len(shapes)], shapes)[1]
+
+
 def _reversed_rows(fam, lam):
     """The right standard-scan verdict with each row of its witness
     reversed: a tableau of the shape, but not a standard one."""
@@ -462,7 +483,7 @@ def _flip_verdict(fv, fu, lam):
         ("right_action_law", "compose", lambda s, t: compose(t, s)),
         ("projector_idempotent_and_complete", "isotypic_projector", _leaky_projector),
         ("projector_idempotent_and_complete", "_class_table", _class_table_without_last_shape),
-        ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x)),
+        ("gamas_matches_oracle", "_class_sums", _identity_class_sum),
         ("gamas_matches_oracle", "gamas_standard", lambda fam, lam: (False, None)),
         ("gamas_matches_oracle", "gamas_standard", _reversed_rows),
         ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
@@ -470,10 +491,10 @@ def _flip_verdict(fv, fu, lam):
         ("projector_idempotent_and_complete", "isotypic_components",
          _components_without_identity),
         ("projector_idempotent_and_complete", "isotypic_components", _components_of_next_shape),
-        ("gamas_matches_oracle", "isotypic_components", _components_without_identity),
-        ("gamas_matches_oracle", "isotypic_components", _components_of_next_shape),
-        ("equality_matches_oracle", "isotypic_components", _components_without_identity),
-        ("equality_matches_oracle", "isotypic_components", _components_of_next_shape),
+        ("gamas_matches_oracle", "_class_sums", _class_sums_without_identity),
+        ("gamas_matches_oracle", "_class_weights", _weights_of_next_shape),
+        ("equality_matches_oracle", "_class_sums", _class_sums_without_identity),
+        ("equality_matches_oracle", "_class_weights", _weights_of_next_shape),
     ],
     ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
          "witness", "equality",
@@ -483,6 +504,54 @@ def _flip_verdict(fv, fu, lam):
 def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, target, broken):
     monkeypatch.setattr(crosscheck, target, broken)
     prop = dict(crosscheck.properties(3, 6, random.Random(1)))[name]
+    assert prop() is None
+
+
+def _without_product_check(system, pairs, ratios):
+    """`_search_matching` with its product check disabled: a matching of
+    any product is a witness."""
+    witness, failure = _search_matching(system, pairs, ratios)
+    if failure is not None and failure.reason == PRODUCT_NOT_ONE:
+        return SystemWitness(system, (), failure.scalars), None
+    return witness, failure
+
+
+def _every_shape_nonzero(fam, lam):
+    return True, None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "name,patches",
+    [
+        ("gamas_matches_oracle", [
+            (crosscheck, "gamas_nonvanishing", _every_shape_nonzero),
+            (crosscheck, "gamas_standard", _every_shape_nonzero),
+        ]),
+        ("equality_matches_oracle", [(decision, "_search_matching", _without_product_check)]),
+        *[
+            (name, [(crosscheck, target, broken)])
+            for name in (
+                "projector_idempotent_and_complete",
+                "gamas_matches_oracle",
+                "equality_matches_oracle",
+            )
+            for target, broken in (
+                ("_class_sums", _class_sums_without_identity),
+                ("_class_weights", _weights_of_next_shape),
+            )
+        ],
+    ],
+    ids=["gamas-decider", "product-check",
+         "class-projector", "shape-projector", "class-gamas", "shape-gamas",
+         "class-equality", "shape-equality"],
+)
+def test_crosscheck_catches_sabotaged_deciders_and_gram_faults(monkeypatch, n, name, patches):
+    """Deciders that agree with each other and leave no witness to check,
+    and faults in the Gram forms, are each caught at n = 3, 4 and 5."""
+    for module, target, broken in patches:
+        monkeypatch.setattr(module, target, broken)
+    prop = dict(crosscheck.properties(n, 8, random.Random(n)))[name]
     assert prop() is None
 
 
@@ -498,7 +567,7 @@ def test_crosscheck_zero_trials_check_nothing_and_draw_nothing():
     [
         ("right_action_law", "tensor_equal", lambda x, y: False, 1),
         ("projector_idempotent_and_complete", "tensor_equal", lambda x, y: False, 4),
-        ("gamas_matches_oracle", "is_zero", lambda x: not is_zero(x), 3),
+        ("gamas_matches_oracle", "_class_sums", _identity_class_sum, 1),
         ("equality_matches_oracle", "decide_equality", _flip_verdict, 3),
     ],
     ids=["action", "projector", "gamas", "equality"],
@@ -545,19 +614,21 @@ def test_equality_property_draws_every_kind_of_u(monkeypatch):
         draws.append("shifted")
         return shifted_family(base)
 
-    def compared(x, y):
-        equal = tensor_equal(x, y)
+    def compared(fv, fu, lam):
+        verdict = decide_equality(fv, fu, lam)
         # each trial draws v with random_family first, then u
         kind = "unrelated" if draws[-2:] == ["random", "random"] else draws[-1]
-        outcomes[kind, equal] += 1
-        equal_nonzero[kind] += equal and not is_zero(x)
-        return equal
+        outcomes[kind, verdict.equal] += 1
+        # equal with a witness system: equal and nonzero, by Gamas' theorem
+        equal_nonzero[kind] += verdict.mode == "witnessed"
+        return verdict
 
     monkeypatch.setattr(crosscheck, "random_family", drawn_family)
     monkeypatch.setattr(crosscheck, "scaled_family", drawn_scaling)
     monkeypatch.setattr(crosscheck, "shifted_family", drawn_shift)
-    monkeypatch.setattr(crosscheck, "tensor_equal", compared)
+    monkeypatch.setattr(crosscheck, "decide_equality", compared)
     prop = dict(crosscheck.properties(3, 25, random.Random(0)))["equality_matches_oracle"]
+    # the property passes, so every verdict counted is the Gram comparison's
     assert prop() == 25 * 3
     assert {kind for kind, _ in outcomes} == {"unrelated", "unit", "non-unit", "shifted"}
     assert outcomes["unrelated", False] >= 1

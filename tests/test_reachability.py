@@ -21,6 +21,7 @@ UNREACHED = {
     "linalg.transition_scalar": "perfbench traces it by name",
     "combinatorics.enumerate_standard": "perfbench traces it by name",
     "combinatorics.enumerate_column_systems": "perfbench traces it by name",
+    "tensor.is_zero": "perfbench/record.py imports it",
     "linalg.determinant": "the certificates from products of minors planned in ROADMAP.md",
     "group_algebra.GroupAlgebraElement.terms": "read by the tests and by perfbench's tracer",
 }

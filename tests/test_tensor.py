@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from symten import crosscheck, group_algebra, tensor
 from symten.characters import mn_character
 from symten.combinatorics import SizeLimitError, enumerate_partitions
-from symten.group_algebra import GroupAlgebraElement, _members, isotypic_projector
+from symten.group_algebra import (
+    GroupAlgebraElement,
+    _class_table,
+    _class_weights,
+    _members,
+    isotypic_projector,
+)
 from symten.linalg import VectorFamily, _scaled
 from symten.sampling import random_family
 from symten.tensor import (
@@ -429,6 +435,49 @@ def test_isotypic_components_match_projectors(x):
         assert all(type(c) is F for c in component.entries.values())
         total = tensor_add(total, component)
     assert tensor_equal(total, x)
+
+
+@st.composite
+def _family_pairs(draw):
+    """Two families of n <= 6 vectors in dim 1..4 with mixed denominators:
+    zero vectors, vectors repeated within a family and vectors shared by
+    both.  At n >= 5 a vector has at most two nonzero entries, which keeps
+    the sweep small."""
+    n = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 4))
+    width = dim if n < 5 else min(dim, 2)
+    fresh = st.builds(
+        lambda entries: tuple(entries.get(i, 0) for i in range(dim)),
+        st.dictionaries(st.integers(0, dim - 1), _entries, max_size=width),
+    )
+    v, u = [], []
+    for _ in range(n):
+        v.append(draw(st.one_of(fresh, st.sampled_from(v)) if v else fresh))
+    for _ in range(n):
+        u.append(draw(st.one_of(fresh, st.sampled_from(v), st.sampled_from(u)) if u else fresh))
+    return VectorFamily(dim, tuple(v)), VectorFamily(dim, tuple(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_pairs())
+@example((VectorFamily(2, ()), VectorFamily(2, ())))
+@example((fam((F(1, 2), 3)), fam((F(-2, 3), 0))))
+@example((fam((0, 0)), fam((1, 1))))
+@example((fam((1, F(1, 2)), (1, F(1, 2)), (2, 0)), fam((2, 1), (F(1, 3), 0), (0, 0))))
+def test_gram_forms_match_the_sweep(pair):
+    """For every shape, scale * sum_k chi_k S_k / (s_v s_u), from the Gram
+    class sums, is the inner product of the two swept components."""
+    fv, fu = pair
+    shapes, _ = _class_table(len(fv))
+    sums = crosscheck._class_sums(fv, fu)
+    s_v, s_u = map(crosscheck._scale, pair)
+    cv = isotypic_components(decomposable(fv))
+    cu = isotypic_components(decomposable(fu))
+    for lam in shapes:
+        scale, chis = _class_weights(lam, shapes)
+        form = scale * F(sum(map(mul, chis, sums)), s_v * s_u)
+        entries = cu[lam].entries
+        assert form == sum(c * entries.get(i, 0) for i, c in cv[lam].entries.items())
 
 
 # at order 60 the backstop must come before listing the 966,467 shapes
