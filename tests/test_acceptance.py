@@ -161,7 +161,7 @@ def test_criterion_6_group_algebra_suite(projectors):
 
 def test_criterion_7_cli_contract(capsys, tmp_path):
     for command, name in GOLDEN_CASES:
-        argv = [command, "--input", str(DATA / f"{name}.json")]
+        argv = [*command, "--input", str(DATA / f"{name}.json")]
         assert cli.main(argv) == 0
         first = capsys.readouterr().out
         assert first == (GOLDEN / f"{name}.json").read_text()

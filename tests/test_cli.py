@@ -19,21 +19,25 @@ from tests.reference import from_json_obj
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
+# (command and flags, name): each reads tests/data/<name>.json and prints
+# tests/golden/<name>.json
 GOLDEN_CASES = [
-    ("gamas", "gamas_vanishing"),
-    ("gamas", "gamas_nonvanishing"),
-    ("gamas", "gamas_zero_vector"),
-    ("equal", "equal_scaling"),
-    ("equal", "equal_product_off"),
-    ("equal", "equal_both_vanish"),
-    ("symmetrize", "symmetrize_basis"),
-    ("symmetrize", "symmetrize_vanishing"),
-    ("symmetrize", "symmetrize_n8"),
+    (("gamas",), "gamas_vanishing"),
+    (("gamas",), "gamas_nonvanishing"),
+    (("gamas",), "gamas_zero_vector"),
+    (("equal",), "equal_scaling"),
+    (("equal",), "equal_product_off"),
+    (("equal",), "equal_both_vanish"),
+    (("equal",), "equal_witnessed_n7"),
+    (("equal", "--exhaustive-failures"), "equal_product_off_exhaustive"),
+    (("symmetrize",), "symmetrize_basis"),
+    (("symmetrize",), "symmetrize_vanishing"),
+    (("symmetrize",), "symmetrize_n8"),
 ]
 
 # the argv of every file in tests/golden/, which CI also runs under python -O
 GOLDEN_COMMANDS = [
-    ((command, "--input", str(DATA / f"{name}.json")), name)
+    ((*command, "--input", str(DATA / f"{name}.json")), name)
     for command, name in GOLDEN_CASES
 ] + [
     (("characters", "--n", "4"), "characters_n4"),
@@ -48,7 +52,7 @@ def run(capsys, *argv):
 
 @pytest.mark.parametrize("command,name", GOLDEN_CASES)
 def test_golden_outputs(capsys, command, name):
-    code, out = run(capsys, command, "--input", str(DATA / f"{name}.json"))
+    code, out = run(capsys, *command, "--input", str(DATA / f"{name}.json"))
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
 
@@ -172,7 +176,7 @@ def test_imports_only_the_standard_library():
 
 def test_no_floats_in_payloads(capsys):
     for command, name in GOLDEN_CASES:
-        _, out = run(capsys, command, "--input", str(DATA / f"{name}.json"))
+        _, out = run(capsys, *command, "--input", str(DATA / f"{name}.json"))
 
         def assert_no_floats(node):
             if isinstance(node, dict):
