@@ -5,7 +5,13 @@ brute-force tensor oracle, and emits JSON verdicts, witnesses, tensors
 and character tables.  Rationals travel as strings ("p/q" or "p"), never
 as floats, and every payload is ordered deterministically so reruns are
 byte-identical.  Every command writes its payload through `_json_text`,
-which gives exactly the bytes of `json.dumps(payload, indent=2)`.
+which gives exactly the bytes of `json.dumps(payload, indent=2)`.  The
+two payloads that grow with the problem hold their long lists as text
+written already (`_Written`), about one Python step per record:
+`symmetrize` writes one template per tensor entry, and `equal` one per
+witness or failure, with each column's and each rational's text written
+once per call.  The tests hold these bytes to `json.dumps` of the
+reference payloads, `tensor.to_json_obj` and `verdict_json`.
 `selfcheck` runs the properties of `symten.crosscheck`.  Each command
 checks its degree against `--max-n` once (`check_limit`), after its
 arguments and input parse and before any work.
@@ -22,6 +28,7 @@ import json
 import os
 import random
 import sys
+from typing import Iterable
 
 from . import __version__, crosscheck
 from .characters import character_table
@@ -34,7 +41,7 @@ from .decision import (
 )
 from .group_algebra import isotypic_projector
 from .linalg import VectorFamily, format_rational, parse_rational
-from .tensor import apply_element, decomposable, to_json_obj
+from .tensor import SparseTensor, apply_element, decomposable
 
 EXIT_OK = 0
 EXIT_SELFCHECK_FAILED = 1
@@ -108,11 +115,25 @@ def load_instance(path: str, require_u: bool = False):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Written(str):
+    """JSON text written already for the place it has in a payload, which
+    `_json_text` copies as it is."""
+
+
+def _json_list(items: Iterable[str], newline: str) -> str:
+    """The JSON list of items, each JSON text written for one level below
+    newline, the line break and indentation of the list's own level."""
+    inner = newline + "  "
+    body = ("," + inner).join(items)
+    return "[" + inner + body + newline + "]" if body else "[]"
+
+
 def _json_text(obj, newline: str = "\n") -> str:
     """Exactly `json.dumps(obj, indent=2)`, built by joining strings.
 
-    Takes dicts with str keys, lists, strs, ints, bools and None, and
-    raises TypeError for anything else, floats and tuples included.
+    Takes dicts with str keys, lists, strs, ints, bools, None and
+    `_Written` text, and raises TypeError for anything else, floats and
+    tuples included.
     Strings are escaped by the encoder `json.dumps` uses, which refuses
     non-str keys, and ints are written by `int.__repr__` as it writes
     them; a list of ints only or of strings only is written by one join.
@@ -120,17 +141,14 @@ def _json_text(obj, newline: str = "\n") -> str:
     """
     kind = type(obj)
     if kind is list:
-        if not obj:
-            return "[]"
-        inner = newline + "  "
         kinds = set(map(type, obj))
         if kinds == {int}:
             items = map(int.__repr__, obj)
         elif kinds == {str}:
             items = map(_encode_str, obj)
         else:
-            items = [_json_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            items = [_json_text(x, newline + "  ") for x in obj]
+        return _json_list(items, newline)
     if kind is dict:
         if not obj:
             return "{}"
@@ -145,6 +163,8 @@ def _json_text(obj, newline: str = "\n") -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    if kind is _Written:
+        return obj
     raise TypeError(f"not written as JSON: {kind.__name__}")
 
 
@@ -173,28 +193,72 @@ def _system_json(system) -> list[list[int]]:
     return [list(column) for column in system]
 
 
-def verdict_json(verdict: EqualityVerdict) -> dict:
-    obj: dict = {"equal": verdict.equal, "mode": verdict.mode}
-    obj["failures"] = []
-    for failure in verdict.failures:
-        entry: dict = {
-            "system": _system_json(failure.system),
-            "reason": failure.reason,
-        }
-        if failure.scalars is not None:
-            entry["scalars"] = [format_rational(s) for s in failure.scalars]
-            entry["product"] = format_rational(failure.product)
-        obj["failures"].append(entry)
-    obj["witnesses"] = [
-        {
-            "system": _system_json(w.system),
-            "sigma": list(w.sigma),
-            "scalars": [format_rational(s) for s in w.scalars],
-            "product": "1",  # what makes it a witness
-        }
+def _tensor_json(x: SparseTensor) -> dict:
+    """`tensor.to_json_obj(x)` with its entries written already: each
+    entry, in index order, by one template, with no dict or list built
+    for it."""
+    head = '{\n      "index": [' + ("\n        " if x.order else "")
+    tail = ("\n      " if x.order else "") + '],\n      "coeff": "'
+    sep = ",\n        "
+    entries = [
+        head + sep.join(map(str, index)) + tail + format_rational(coeff) + '"\n    }'
+        for index, coeff in sorted(x.entries.items())
+    ]
+    return {"dim": x.dim, "order": x.order, "entries": _Written(_json_list(entries, "\n  "))}
+
+
+def _verdict_json(verdict: EqualityVerdict) -> dict:
+    """The verdict's payload (`verdict_json` in the tests) with its failures
+    and witnesses written already, each by one template.  A column's
+    text is written once per call, and so is a rational's: looked up by
+    `id` first, because hashing a `Fraction` costs more than formatting
+    it, and by value once per object, so that each value is formatted
+    once.  The verdict keeps every rational alive, so no id is reused.
+    """
+    column = functools.cache(lambda c: _json_list(map(str, c), "\n        "))
+    formatted = functools.cache(lambda q: _encode_str(format_rational(q)))
+    by_id: dict[int, str] = {}
+
+    def rational(q) -> str:
+        text = by_id.get(id(q))
+        if text is None:
+            text = by_id[id(q)] = formatted(q)
+        return text
+
+    def head(system) -> str:
+        return '{\n      "system": ' + _json_list(map(column, system), "\n      ")
+
+    def scalars(values) -> str:
+        return _json_list(map(rational, values), "\n      ")
+
+    failures = [
+        head(f.system)
+        + ',\n      "reason": '
+        + _encode_str(f.reason)
+        + (
+            ""
+            if f.scalars is None
+            else ',\n      "scalars": ' + scalars(f.scalars)
+            + ',\n      "product": ' + rational(f.product)
+        )
+        + "\n    }"
+        for f in verdict.failures
+    ]
+    witnesses = [
+        head(w.system)
+        + ',\n      "sigma": '
+        + _json_list(map(str, w.sigma), "\n      ")
+        + ',\n      "scalars": '
+        + scalars(w.scalars)
+        + ',\n      "product": "1"\n    }'  # what makes it a witness
         for w in verdict.witnesses
     ]
-    return obj
+    return {
+        "equal": verdict.equal,
+        "mode": verdict.mode,
+        "failures": _Written(_json_list(failures, "\n  ")),
+        "witnesses": _Written(_json_list(witnesses, "\n  ")),
+    }
 
 
 def _formatted(to_json, result) -> dict:
@@ -234,7 +298,7 @@ def cmd_equal(args) -> int:
     lam, fv, fu = load_instance(args.input, require_u=True)
     check_limit(sum(lam), args.max_n)
     verdict = decide_equality(fv, fu, lam, args.exhaustive_failures)
-    _emit(_formatted(verdict_json, verdict), args.output)
+    _emit(_formatted(_verdict_json, verdict), args.output)
     return EXIT_OK
 
 
@@ -246,7 +310,7 @@ def cmd_symmetrize(args) -> int:
     if args.shape_only:
         obj = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
     else:
-        obj = _formatted(to_json_obj, result)
+        obj = _formatted(_tensor_json, result)
     _emit(obj, args.output)
     return EXIT_OK
 

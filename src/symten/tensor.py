@@ -92,7 +92,8 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
       image, both in C.  The images repeat (an entry's image depends only
       on sigma's coset under the stabilizer of its word), and the Python
       work is one addition per distinct image of each entry: w c times
-      its count.
+      its count, into a dict per target keyed by the `Counter`'s own
+      words, each of which becomes an index tuple once, at the end.
     - walked, otherwise (small n, dense x, short run, an index past a
       byte): one `itemgetter` per sigma moves every entry, which is
       cheaper there.
@@ -106,21 +107,28 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
     unpad = itemgetter(slice(1, None))
+    # id of a counted run's target -> (target, its sums keyed by 1-tuples
+    # of one n-byte image word, as the Counters key them)
+    by_word: dict[int, tuple[dict[Index, int], dict[tuple[bytes], int]]] = {}
     for flat, w, sums in runs:
         terms = [w * c for c in coeffs]
-        get = sums.get
         if countable and len(flat) >= 3 * n * len(padded):
+            words = by_word.setdefault(id(sums), (sums, {}))[1]
+            get = words.get
             for entry, t in zip(padded, terms):
                 table = bytes(entry).ljust(256, b"\0")
-                counts = Counter(unpack(flat.translate(table)))
-                # each key is a 1-tuple of one n-byte image word
-                for word, k in zip(map(tuple, chain.from_iterable(counts)), counts.values()):
-                    sums[word] = get(word, 0) + t * k
+                for word, k in Counter(unpack(flat.translate(table))).items():
+                    words[word] = get(word, 0) + t * k
             continue
+        get = sums.get
         for sigma in _members(flat, n):
             move = itemgetter(*sigma) if n > 1 else unpad
             for word, t in zip(map(move, padded), terms):
                 sums[word] = get(word, 0) + t
+    for sums, words in by_word.values():
+        get = sums.get
+        for index, v in zip(map(tuple, chain.from_iterable(words)), words.values()):
+            sums[index] = get(index, 0) + v
     return d_x
 
 

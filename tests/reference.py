@@ -4,7 +4,8 @@ The Young symmetrizers check `isotypic_projector` and `apply_element`
 without characters, and the fillings check the column-system searches.
 The Gram-Schmidt character table checks `mn_character`, and the hook
 length formula its values on the identity.  `from_json_obj`
-parses what `symmetrize` writes.
+parses what `symmetrize` writes, and `verdict_json` is the payload whose
+`json.dumps(..., indent=2)` `equal` writes.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from symten.combinatorics import (
     tableau_shape,
 )
 from symten.group_algebra import GroupAlgebraElement
-from symten.linalg import VectorFamily, parse_rational
+from symten.decision import EqualityVerdict
+from symten.linalg import VectorFamily, format_rational, parse_rational
 from symten.tensor import SparseTensor
 
 
@@ -191,3 +193,29 @@ def from_json_obj(obj: dict) -> SparseTensor:
     """The tensor of `symten.tensor.to_json_obj`'s JSON form."""
     entries = {tuple(e["index"]): parse_rational(e["coeff"]) for e in obj["entries"]}
     return SparseTensor(obj["dim"], obj["order"], entries)
+
+
+def verdict_json(verdict: EqualityVerdict) -> dict:
+    """The JSON form of an equality verdict: `symten equal` writes
+    `json.dumps(verdict_json(verdict), indent=2)`."""
+    obj: dict = {"equal": verdict.equal, "mode": verdict.mode}
+    obj["failures"] = []
+    for failure in verdict.failures:
+        entry: dict = {
+            "system": [list(column) for column in failure.system],
+            "reason": failure.reason,
+        }
+        if failure.scalars is not None:
+            entry["scalars"] = [format_rational(s) for s in failure.scalars]
+            entry["product"] = format_rational(failure.product)
+        obj["failures"].append(entry)
+    obj["witnesses"] = [
+        {
+            "system": [list(column) for column in w.system],
+            "sigma": list(w.sigma),
+            "scalars": [format_rational(s) for s in w.scalars],
+            "product": "1",  # what makes it a witness
+        }
+        for w in verdict.witnesses
+    ]
+    return obj

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symten import characters, cli, crosscheck, group_algebra, tensor
+from symten.combinatorics import enumerate_partitions
+from symten.decision import (
+    INDEPENDENCE_MISMATCH,
+    NO_SPAN_MATCHING,
+    PRODUCT_NOT_ONE,
+    EqualityVerdict,
+    SystemFailure,
+    SystemWitness,
+    decide_equality,
+)
 from symten.linalg import format_rational
 from symten.sampling import random_family, scaled_family
-from symten.tensor import tensor_equal
-from tests.reference import from_json_obj
+from symten.tensor import SparseTensor, tensor_equal, to_json_obj
+from tests.reference import from_json_obj, verdict_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,6 +157,28 @@ def test_symmetrize_shape_only_formats_no_coefficients(capsys, monkeypatch):
     )
     assert code == 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [((), "equal_witnessed_n7"), (("--exhaustive-failures",), "equal_product_off_exhaustive")],
+)
+def test_equal_formats_each_rational_once(capsys, monkeypatch, flags, name):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return format_rational(q)
+
+    monkeypatch.setattr(cli, "format_rational", counted)
+    code, out = run(capsys, "equal", *flags, "--input", str(DATA / f"{name}.json"))
+    assert code == 0
+    records = [*(report := json.loads(out))["witnesses"], *report["failures"]]
+    written = [q for r in records for q in r["scalars"]]
+    written += [r["product"] for r in report["failures"]]
+    # the witnesses and failures share their ratios: far fewer values than scalars
+    assert len(set(written)) * 4 < len(written)
+    assert sorted(map(format_rational, calls)) == sorted(set(written))
 
 
 def test_version(capsys):
@@ -591,3 +624,83 @@ def test_writer_on_large_outputs(capsys, tmp_path):
     assert code == 0
     assert len(json.loads(out)["entries"]) > 20
     assert _writes_as_json_dumps(out)
+
+
+# indices past 9 and dims past a digit; mixed denominators, zero dropped
+_coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@st.composite
+def _tensors(draw):
+    order, dim = draw(st.integers(0, 4)), draw(st.integers(1, 12))
+    index = st.tuples(*[st.integers(1, dim)] * order)
+    return SparseTensor(dim, order, draw(st.dictionaries(index, _coeffs, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tensors())
+@example(SparseTensor(3, 0, {(): Fraction(-7, 4)}))
+@example(SparseTensor(3, 0))
+@example(SparseTensor(12, 2))
+@example(SparseTensor(12, 3, {(10, 1, 12): Fraction(5), (2, 11, 3): Fraction(-1, 10)}))
+def test_tensor_template_writes_as_json_dumps(x):
+    assert cli._json_text(cli._tensor_json(x)) == json.dumps(to_json_obj(x), indent=2)
+
+
+_columns = st.lists(st.integers(1, 12), max_size=3).map(tuple)
+_systems = st.lists(_columns, max_size=3).map(tuple)
+
+
+@st.composite
+def _verdicts(draw):
+    """Any verdict the writer may meet: each rational drawn from a few
+    objects, each value also as a second object, as a verdict shares them."""
+    values = draw(st.lists(_coeffs.filter(bool), min_size=1, max_size=4))
+    shared = st.sampled_from(values + [Fraction(q.numerator, q.denominator) for q in values])
+
+    def scalars(k):
+        return tuple(draw(shared) for _ in range(k))
+
+    failures = []
+    for system in draw(st.lists(_systems, max_size=3)):
+        reason = draw(st.sampled_from([INDEPENDENCE_MISMATCH, NO_SPAN_MATCHING, PRODUCT_NOT_ONE]))
+        if reason == PRODUCT_NOT_ONE:
+            failures.append(SystemFailure(system, reason, scalars(len(system)), draw(shared)))
+        else:
+            failures.append(SystemFailure(system, reason))
+    witnesses = [
+        SystemWitness(system, tuple(draw(st.permutations(range(1, len(system) + 1)))),
+                      scalars(len(system)))
+        for system in draw(st.lists(_systems, max_size=3))
+    ]
+    mode = draw(st.sampled_from(["both_vanish", "witnessed", "failed"]))
+    return EqualityVerdict(mode != "failed", mode, tuple(failures), tuple(witnesses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verdicts())
+@example(EqualityVerdict(True, "both_vanish", (), ()))
+@example(EqualityVerdict(True, "witnessed", (), (SystemWitness((), (), ()),)))
+def test_verdict_template_writes_as_json_dumps(verdict):
+    assert cli._json_text(cli._verdict_json(verdict)) == json.dumps(verdict_json(verdict), indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
+    st.integers(0, 2**32),
+    st.sampled_from(["unrelated", "unit_product", "product_off"]),
+    st.booleans(),
+)
+@example((), 0, "unit_product", False)
+def test_equal_verdicts_write_as_json_dumps(lam, seed, kind, exhaustive):
+    # every mode: unrelated pairs fail or both vanish, rescalings are witnessed
+    rng = random.Random(seed)
+    n, dim = sum(lam), rng.choice((1, 2, 3))
+    fv = random_family(rng, n, dim, adversarial=True)
+    if kind == "unrelated" or not n:  # no family of 0 vectors is rescaled
+        fu = random_family(rng, n, dim, adversarial=True)
+    else:
+        fu = scaled_family(rng, fv, unit_product=kind == "unit_product")
+    verdict = decide_equality(fv, fu, lam, exhaustive)
+    assert cli._json_text(cli._verdict_json(verdict)) == json.dumps(verdict_json(verdict), indent=2)

@@ -10,7 +10,6 @@ from typing import Optional
 import pytest
 
 from symten import cli, crosscheck, decision, linalg
-from symten.cli import verdict_json
 from symten.combinatorics import (
     compose,
     enumerate_column_systems,
@@ -34,7 +33,7 @@ from symten.group_algebra import _class_table, _class_weights, isotypic_projecto
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
 from symten.tensor import apply_element, decomposable, isotypic_components, tensor_equal
-from tests.reference import combination, fam, of_terms, sign
+from tests.reference import combination, fam, of_terms, sign, verdict_json
 from tests.test_cli import DATA
 
 F = Fraction

@@ -22,6 +22,7 @@ UNREACHED = {
     "combinatorics.enumerate_standard": "perfbench traces it by name",
     "combinatorics.enumerate_column_systems": "perfbench traces it by name",
     "tensor.is_zero": "perfbench/record.py imports it",
+    "tensor.to_json_obj": "perfbench traces it by name; the tests hold `symmetrize` to it",
     "linalg.determinant": "the certificates from products of minors planned in ROADMAP.md",
     "group_algebra.GroupAlgebraElement.terms": "read by the tests and by perfbench's tracer",
 }
