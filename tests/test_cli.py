@@ -61,7 +61,9 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command,name", GOLDEN_CASES)
+@pytest.mark.parametrize(
+    "command,name", GOLDEN_CASES, ids=[f"{' '.join(c)}-{name}" for c, name in GOLDEN_CASES]
+)
 def test_golden_outputs(capsys, command, name):
     code, out = run(capsys, *command, "--input", str(DATA / f"{name}.json"))
     assert code == 0
@@ -162,6 +164,7 @@ def test_symmetrize_shape_only_formats_no_coefficients(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flags,name",
     [((), "equal_witnessed_n7"), (("--exhaustive-failures",), "equal_product_off_exhaustive")],
+    ids=["witnessed", "exhaustive-failures"],
 )
 def test_equal_formats_each_rational_once(capsys, monkeypatch, flags, name):
     calls = []
@@ -173,8 +176,8 @@ def test_equal_formats_each_rational_once(capsys, monkeypatch, flags, name):
     monkeypatch.setattr(cli, "format_rational", counted)
     code, out = run(capsys, "equal", *flags, "--input", str(DATA / f"{name}.json"))
     assert code == 0
-    records = [*(report := json.loads(out))["witnesses"], *report["failures"]]
-    written = [q for r in records for q in r["scalars"]]
+    report = json.loads(out)
+    written = [q for r in report["witnesses"] + report["failures"] for q in r["scalars"]]
     written += [r["product"] for r in report["failures"]]
     # the witnesses and failures share their ratios: far fewer values than scalars
     assert len(set(written)) * 4 < len(written)
