@@ -28,7 +28,8 @@ import json
 import os
 import random
 import sys
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable
 
 from . import __version__, crosscheck
 from .characters import character_table
@@ -193,15 +194,36 @@ def _system_json(system) -> list[list[int]]:
     return [list(column) for column in system]
 
 
+def _rational_writer() -> Callable[[Fraction], str]:
+    """A writer of rationals as JSON strings, for one payload: looked up by
+    `id` first, because hashing a `Fraction` costs more than formatting
+    it, and by value once per object, so that each value is formatted
+    once.  The payload must keep every rational it writes alive while the
+    writer is in use, so that no id is reused."""
+    formatted = functools.cache(lambda q: _encode_str(format_rational(q)))
+    by_id: dict[int, str] = {}
+
+    def rational(q: Fraction) -> str:
+        text = by_id.get(id(q))
+        if text is None:
+            text = by_id[id(q)] = formatted(q)
+        return text
+
+    return rational
+
+
 def _tensor_json(x: SparseTensor) -> dict:
     """`tensor.to_json_obj(x)` with its entries written already: each
     entry, in index order, by one template, with no dict or list built
-    for it."""
+    for it, and each coefficient object written once (`_rational_writer`):
+    `apply_element` shares one `Fraction` between the entries of one
+    value."""
+    rational = _rational_writer()
     head = '{\n      "index": [' + ("\n        " if x.order else "")
-    tail = ("\n      " if x.order else "") + '],\n      "coeff": "'
+    tail = ("\n      " if x.order else "") + '],\n      "coeff": '
     sep = ",\n        "
     entries = [
-        head + sep.join(map(str, index)) + tail + format_rational(coeff) + '"\n    }'
+        head + sep.join(map(str, index)) + tail + rational(coeff) + "\n    }"
         for index, coeff in sorted(x.entries.items())
     ]
     return {"dim": x.dim, "order": x.order, "entries": _Written(_json_list(entries, "\n  "))}
@@ -210,20 +232,11 @@ def _tensor_json(x: SparseTensor) -> dict:
 def _verdict_json(verdict: EqualityVerdict) -> dict:
     """The verdict's payload (`verdict_json` in the tests) with its failures
     and witnesses written already, each by one template.  A column's
-    text is written once per call, and so is a rational's: looked up by
-    `id` first, because hashing a `Fraction` costs more than formatting
-    it, and by value once per object, so that each value is formatted
-    once.  The verdict keeps every rational alive, so no id is reused.
+    text is written once per call, and so is a rational's
+    (`_rational_writer`); the verdict keeps every rational alive.
     """
     column = functools.cache(lambda c: _json_list(map(str, c), "\n        "))
-    formatted = functools.cache(lambda q: _encode_str(format_rational(q)))
-    by_id: dict[int, str] = {}
-
-    def rational(q) -> str:
-        text = by_id.get(id(q))
-        if text is None:
-            text = by_id[id(q)] = formatted(q)
-        return text
+    rational = _rational_writer()
 
     def head(system) -> str:
         return '{\n      "system": ' + _json_list(map(column, system), "\n      ")

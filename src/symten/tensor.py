@@ -8,20 +8,22 @@ to nonzero rationals; equality of tensors is equality of entry maps.
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .combinatorics import Part, Perm
 from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _members
 from .linalg import VectorFamily, _scaled, format_rational
 
 Index = tuple[int, ...]
-_Run = tuple[Sequence[int], int, dict[Index, int]]
+_Run = tuple[bytes, int, dict[Index, int]]
+
+# the permutations of a counted run whose image words are alive at once
+_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -78,22 +80,25 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
     """For each run (flat, w, sums), add w times x acted on by each sigma
     of the run into sums, on integers; returns their denominator.
 
-    flat holds the run's permutations as one-line images, n bytes each
-    (S_0's one permutation has none).
+    flat holds the run's permutations as `group_algebra` lays them out:
+    n one-line images and a 0 byte each.
     `linalg._scaled` puts x's entries over one denominator d, so each sums
     holds numerators over d, and w times an entry is one `int` product
     per run.  Each run takes one of two paths:
 
     - counted, when n >= 2, every index of x is below 256 and the
       run has at least three permutations per entry of x: the byte table
-      of an entry's word a sends image j to letter a_j, so one
-      `translate` gives the entry's image under every sigma of the
-      run, and a `Counter` of those n-byte words tallies each distinct
-      image, both in C.  The images repeat (an entry's image depends only
-      on sigma's coset under the stabilizer of its word), and the Python
-      work is one addition per distinct image of each entry: w c times
-      its count, into a dict per target keyed by the `Counter`'s own
-      words, each of which becomes an index tuple once, at the end.
+      of an entry's word a sends image j to letter a_j and the separator
+      0 to the pad 0, which no letter is, so `translate` and then `split`
+      at the 0 byte give the entry's image under every sigma of the run
+      as bare n-byte words, and a `Counter` tallies each distinct image,
+      all in C.  A run is counted in slices of _SLICE permutations, so
+      at most one slice of words is alive at a time.  The images repeat
+      (an entry's image depends only on sigma's coset under the
+      stabilizer of its word), and the Python work is one addition per
+      distinct image of each entry: w c times its count, into a dict per
+      target keyed by the words, each of which becomes an index tuple
+      once, at the end.
     - walked, otherwise (small n, dense x, short run, an index past a
       byte): one `itemgetter` per sigma moves every entry, which is
       cheaper there.
@@ -103,21 +108,24 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
     # a leading pad lets sigma's one-based images pick the slots directly
     padded = [(0, *index) for index in x.entries]
     countable = n > 1 and max(map(max, x.entries), default=0) < 256
-    unpack = struct.Struct(f"{n}s").iter_unpack
+    step = _SLICE * (n + 1)
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
     unpad = itemgetter(slice(1, None))
-    # id of a counted run's target -> (target, its sums keyed by 1-tuples
-    # of one n-byte image word, as the Counters key them)
-    by_word: dict[int, tuple[dict[Index, int], dict[tuple[bytes], int]]] = {}
+    # id of a counted run's target -> (target, its sums keyed by image word)
+    by_word: dict[int, tuple[dict[Index, int], dict[bytes, int]]] = {}
     for flat, w, sums in runs:
         terms = [w * c for c in coeffs]
-        if countable and len(flat) >= 3 * n * len(padded):
+        if countable and len(flat) >= 3 * (n + 1) * len(padded):
             words = by_word.setdefault(id(sums), (sums, {}))[1]
             get = words.get
             for entry, t in zip(padded, terms):
                 table = bytes(entry).ljust(256, b"\0")
-                for word, k in Counter(unpack(flat.translate(table))).items():
+                counts = Counter()
+                for start in range(0, len(flat), step):
+                    counts.update(flat[start:start + step].translate(table).split(b"\0"))
+                del counts[b""]  # after each slice's last separator
+                for word, k in counts.items():
                     words[word] = get(word, 0) + t * k
             continue
         get = sums.get
@@ -127,7 +135,7 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
                 sums[word] = get(word, 0) + t
     for sums, words in by_word.values():
         get = sums.get
-        for index, v in zip(map(tuple, chain.from_iterable(words)), words.values()):
+        for index, v in zip(map(tuple, words), words.values()):
             sums[index] = get(index, 0) + v
     return d_x
 
@@ -137,21 +145,22 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
 
     Exact, on integers: `linalg._scaled` scales the weights and the entries
     to integers over one denominator each, so the sums are `int`
-    arithmetic, and each nonzero sum is divided by the product of the two
-    denominators once, at the end.  The result equals the `Fraction` sum.
+    arithmetic, and each distinct nonzero sum is divided by the product of
+    the two denominators once, at the end, into one `Fraction` that every
+    entry with that sum shares.  The result equals the `Fraction` sum.
     g's runs go to the kernel as they are stored, each with its one
-    scaled weight: a projector's are its classes, one run per string of
-    classes with one character value, as `_class_table` holds them, so a
-    long run is counted in C, per distinct image of each entry (see
-    `_permuted_sums`).
+    scaled weight: a projector's are its classes, one run per character
+    value, as `_class_table` holds them, so a long run is counted in C,
+    per distinct image of each entry (see `_permuted_sums`).
     """
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
     scaled, d_g = _scaled([w for _, w in g.runs])
     sums: dict[Index, int] = {}
     d = d_g * _permuted_sums(x, zip([flat for flat, _ in g.runs], scaled, repeat(sums)))
+    shared = {v: Fraction(v, d) for v in set(sums.values()) if v}
     return SparseTensor._nonzero(
-        x.dim, x.order, {i: Fraction(v, d) for i, v in sums.items() if v}
+        x.dim, x.order, {i: shared[v] for i, v in sums.items() if v}
     )
 
 

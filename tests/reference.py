@@ -75,7 +75,7 @@ def of_terms(degree: int, terms: dict[Perm, int | Fraction]) -> GroupAlgebraElem
     """The element of a permutation -> coefficient map: one run per
     nonzero term, in the map's order."""
     return GroupAlgebraElement(
-        degree, tuple((bytes(p), Fraction(c)) for p, c in terms.items() if c)
+        degree, tuple((bytes(p) + b"\0", Fraction(c)) for p, c in terms.items() if c)
     )
 
 

@@ -289,23 +289,42 @@ def test_selfcheck_reaches_the_class_table_before_any_listing(capsys, monkeypatc
     assert cli.main(["selfcheck", "--n", "50", "--trials", "0", "--max-n", "50"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: degree 50 is past the class table's limit of 16")
+    assert captured.err == (
+        "error: degree 50 is past the class table's limit of 67108864 bytes: "
+        "S_50 by class takes 50!*51 bytes\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])
 def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
-    # listing S_17 by class would take 17! permutations; the table stops at 16
-    instance = tmp_path / "n17.json"
-    instance.write_text(json.dumps({"dim": 2, "lambda": [17], "v": [["1", "0"]] * 17}))
+    # S_11 by class would take 11!*12 bytes, 479 MB; the table stops at 10
+    instance = tmp_path / "n11.json"
+    instance.write_text(json.dumps({"dim": 2, "lambda": [11], "v": [["1", "0"]] * 11}))
     argv = {
         "symmetrize": ["symmetrize", "--input", str(instance)],
-        "selfcheck": ["selfcheck", "--n", "17", "--trials", "0"],
+        "selfcheck": ["selfcheck", "--n", "11", "--trials", "0"],
     }[command]
-    assert cli.main([*argv, "--max-n", "17"]) == 3
+    assert cli.main([*argv, "--max-n", "11"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: degree 17 is past the class table's limit of 16")
-    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err == (
+        "error: degree 11 is past the class table's limit of 67108864 bytes: "
+        "S_11 by class takes 11!*12 bytes\n"
+    )
+
+
+def test_symmetrize_past_the_class_table_lists_no_permutation(capsys, monkeypatch):
+    # 12!*13 bytes, 6.2 GB, would exhaust the memory before any size check;
+    # CI runs the same command
+    def unlisted(n):
+        raise AssertionError(f"listed the permutations of {n}")
+
+    monkeypatch.setattr(group_algebra, "enumerate_permutations", unlisted)
+    instance = DATA / "symmetrize_n12.json"
+    assert cli.main(["symmetrize", "--input", str(instance), "--max-n", "12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree 12 is past the class table's limit")
 
 
 def test_malformed_flags_exit_2(capsys):

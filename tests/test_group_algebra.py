@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -106,7 +107,7 @@ def test_isotypic_projector_matches_per_permutation_formula(n):
 
 
 # the class table: every permutation once, under the index of its class,
-# in permutation order within each class
+# in permutation order within each class, as its images and a 0 byte
 @pytest.mark.parametrize("n", range(8))
 def test_class_indices_follow_permutation_order(n):
     shapes, classes = _class_table(n)
@@ -115,11 +116,17 @@ def test_class_indices_follow_permutation_order(n):
     seen = []
     for ct, flat in zip(shapes, classes):
         members = list(_members(flat, n))
-        assert bytes(i for p in members for i in p) == flat
+        assert b"".join(bytes(p) + b"\0" for p in members) == flat
+        assert flat.split(b"\0") == [bytes(p) for p in members] + [b""]
         assert all(cycle_type(p) == ct for p in members)
         assert members == sorted(members)
         seen += members
     assert sorted(seen) == list(enumerate_permutations(n))
+
+
+def test_class_table_of_degree_0_is_one_separator():
+    assert _class_table(0) == (((),), (b"\0",))
+    assert list(_members(b"\0", 0)) == [()]
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -127,26 +134,39 @@ def test_projector_terms_come_class_by_class(n):
     partitions = enumerate_partitions(n)
     for lam in partitions:
         terms = isotypic_projector(lam).terms
-        classes = [partitions.index(cycle_type(p)) for p in terms]
-        assert classes == sorted(classes)
+        # (class, weight) per string of permutations of one class
+        blocks = [
+            (k, terms[next(perms)])
+            for k, perms in itertools.groupby(terms, lambda p: partitions.index(cycle_type(p)))
+        ]
+        # each class whole, once; the classes of one weight side by side in
+        # table order, the weights in the order the table first reaches them
+        assert len(blocks) == len({k for k, _ in blocks})
+        first: dict = {}
+        for k, w in sorted(blocks):
+            first.setdefault(w, k)
+        assert blocks == sorted(blocks, key=lambda b: (first[b[1]], b[0]))
         # one shared Fraction per distinct weight
         assert len({id(w) for w in terms.values()}) == len(set(terms.values()))
 
 
+# the nonzero classes split by character value: one run per value, of its
+# classes in table order, the values in the order the table reaches them
 @pytest.mark.parametrize("n", range(8))
 def test_projector_runs_are_the_nonzero_classes_split_where_chi_changes(n):
     shapes, classes = _class_table(n)
     for lam in shapes:
         scale = Fraction(hook_length_dimension(lam), math.factorial(n))
-        expected: list[list] = []  # [bytes, chi] per run
+        expected: dict[int, bytes] = {}  # chi -> its classes' bytes, in table order
         for ct, flat in zip(shapes, classes):
             chi = mn_character(lam, ct)
-            if chi and expected and expected[-1][1] == chi:
-                expected[-1][0] += flat
-            elif chi:
-                expected.append([flat, chi])
+            if chi:
+                expected[chi] = expected.get(chi, b"") + flat
         runs = isotypic_projector(lam).runs
-        assert [(flat, w) for flat, w in runs] == [(flat, scale * chi) for flat, chi in expected]
+        assert [(flat, w) for flat, w in runs] == [
+            (flat, scale * chi) for chi, flat in expected.items()
+        ]
+        assert len({w for _, w in runs}) == len(runs)
         assert all(type(flat) is bytes for flat, _ in runs)
 
 

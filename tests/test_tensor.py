@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -279,23 +280,29 @@ def test_apply_element_matches_fraction_reference_on_tableau_elements(g, data):
 
 
 def _record_paths(monkeypatch):
-    """The kernel's path per run, as it takes them: ("count", k) for each
-    entry of x on a counted run of k permutations, ("walk", k) for a run of
-    k permutations walked one sigma at a time."""
+    """The kernel's path per run, as it takes them, read after the call:
+    ("count", k) for each entry of x on a counted run of k permutations,
+    ("walk", k) for a run of k permutations walked one sigma at a time.
+    Each counted update must hold at most one slice of words and its
+    separator's empty word."""
     paths = []
 
-    def count(images):
-        counts = Counter(images)
-        paths.append(("count", sum(counts.values())))
-        return counts
+    class Recorded(Counter):
+        def __init__(self):
+            super().__init__()
+            paths.append(self)
+
+        def update(self, words=None):
+            assert words is None or len(words) <= tensor._SLICE + 1
+            super().update(words)
 
     def walk(flat, n):
-        paths.append(("walk", len(flat) // n if n else 1))
+        paths.append(("walk", len(flat) // (n + 1)))
         return _members(flat, n)
 
-    monkeypatch.setattr(tensor, "Counter", count)
+    monkeypatch.setattr(tensor, "Counter", Recorded)
     monkeypatch.setattr(tensor, "_members", walk)
-    return paths
+    return lambda: [("count", p.total()) if isinstance(p, Counter) else p for p in paths]
 
 
 def test_apply_element_of_a_degree_7_projector_mixes_counted_and_per_sigma_runs(
@@ -309,7 +316,7 @@ def test_apply_element_of_a_degree_7_projector_mixes_counted_and_per_sigma_runs(
     bumps = {start + 2 * i: F(i + 1, 2) for i in range(20)}
     weights = [w + bumps.get(k, 0) for k, w in enumerate(p.terms.values())]
     g = GroupAlgebraElement(7, tuple(
-        (b"".join(bytes(sigma) for sigma, _ in run), w)
+        (b"".join(bytes(sigma) + b"\0" for sigma, _ in run), w)
         for w, run in itertools.groupby(zip(p.terms, weights), itemgetter(1))
     ))
     # every index with at most two 2s: dense in those weight spaces, with
@@ -326,8 +333,8 @@ def test_apply_element_of_a_degree_7_projector_mixes_counted_and_per_sigma_runs(
     paths = _record_paths(monkeypatch)
     result = apply_element(x, g)
     # runs of at least three permutations per entry are counted, entry by
-    # entry; the runs of one go one sigma at a time
-    assert paths == [
+    # entry, the last in two slices; the runs of one go one sigma at a time
+    assert paths() == [
         step
         for k in runs
         for step in ([("count", k)] * 29 if k >= 3 * 29 else [("walk", k)])
@@ -339,7 +346,7 @@ def _run_of(n, k, weight=F(-2, 7)):
     """A group-algebra element of one run: the first k permutations of S_n
     in enumeration order, with one weight."""
     perms = itertools.islice(itertools.permutations(range(1, n + 1)), k)
-    return GroupAlgebraElement(n, ((bytes(itertools.chain.from_iterable(perms)), weight),))
+    return GroupAlgebraElement(n, ((b"".join(bytes((*p, 0)) for p in perms), weight),))
 
 
 _EDGE_X = {(255, 1, 255, 7): F(2, 3), (3, 255, 255, 255): F(-1, 4)}
@@ -367,8 +374,61 @@ _EDGE_X = {(255, 1, 255, 7): F(2, 3), (3, 255, 255, 255): F(-1, 4)}
 def test_apply_element_kernel_edges(monkeypatch, x, g, path):
     paths = _record_paths(monkeypatch)
     result = apply_element(x, g)
-    assert {p for p, _ in paths} == ({path} if path else set())
+    assert {p for p, _ in paths()} == ({path} if path else set())
     assert result.entries == _reference_apply(x, g)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A tensor of order 0 to 8 on 1 to 4 letters, repeated in its
+    indices, and an element of 1 to 3 runs, each a union of classes of
+    S_n: a lone run is all of S_n, longer than one slice from n = 7 on.
+    The letters may end at 255, the last a byte table holds, or at 256,
+    which sends every run down the walked path."""
+    n = draw(st.integers(0, 8))
+    dim = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([dim, 255, 256]))
+    letters = st.integers(top - dim + 1, top)
+    index = st.tuples(*[letters] * n)
+    x = SparseTensor(top, n, draw(st.dictionaries(index, _rationals, max_size=4)))
+    _, classes = _class_table(n)
+    k = draw(st.integers(1, 3))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=len(classes), max_size=len(classes)))
+    weights = draw(st.lists(_rationals.filter(bool), min_size=k, max_size=k))
+    runs = [
+        (b"".join(flat for flat, j in zip(classes, owner) if j == i), w)
+        for i, w in enumerate(weights)
+    ]
+    return x, GroupAlgebraElement(n, tuple((flat, w) for flat, w in runs if flat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+@example((SparseTensor(255, 8, {(255, 1, 255, 2, 1, 2, 3, 3): F(2, 3), (1,) * 8: F(-1, 4)}),
+          GroupAlgebraElement(8, ((b"".join(_class_table(8)[1]), F(5, 7)),))))
+@example((SparseTensor(256, 7, {(256, 1, 256, 2, 1, 2, 3): F(2, 3)}),
+          GroupAlgebraElement(7, ((b"".join(_class_table(7)[1]), F(-3)),))))
+def test_apply_element_matches_fraction_reference_up_to_degree_8(case):
+    x, g = case
+    assert apply_element(x, g).entries == _reference_apply(x, g)
+
+
+def test_apply_element_of_a_long_run_holds_one_slice_of_words():
+    # S_8 in one run: the 40,320 images of a word of content (2,2,2,2) are
+    # 2,520 distinct words, and slice by slice no more than 4,096 of them
+    # are alive at once
+    g = isotypic_projector((8,))
+    assert len(g.runs) == 1
+    x = SparseTensor(4, 8, {(1, 1, 2, 2, 3, 3, 4, 4): F(3, 5)})
+    apply_element(x, g)
+    tracemalloc.start()
+    try:
+        result = apply_element(x, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.entries) == 2520
+    assert peak < 1024 * 1024, peak
 
 
 @pytest.mark.parametrize("top", [255, 256])
@@ -390,13 +450,12 @@ def test_projector_weights_are_scaled_once_per_run(monkeypatch):
     x = SparseTensor(3, 6, {(1, 2, 1, 3, 1, 1): F(2, 3), (2, 2, 1, 1, 3, 1): F(-1, 4)})
     classes = enumerate_partitions(6)
     for lam in classes:
-        chis = [chi for chi in (mn_character(lam, ct) for ct in classes) if chi]
+        chis = {chi for chi in (mn_character(lam, ct) for ct in classes) if chi}
         scaled.clear()
         apply_element(x, isotypic_projector(lam))
-        # one weight per run of classes with one character value, and x's
-        # two entries: not one weight per permutation
-        runs = len(list(itertools.groupby(chis)))
-        assert sorted(scaled) == sorted([runs, 2]), lam
+        # one weight per nonzero character value, and x's two entries: not
+        # one weight per permutation or per class
+        assert sorted(scaled) == sorted([len(chis), 2]), lam
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5])
@@ -480,13 +539,18 @@ def test_gram_forms_match_the_sweep(pair):
         assert form == sum(c * entries.get(i, 0) for i, c in cv[lam].entries.items())
 
 
-# at order 60 the backstop must come before listing the 966,467 shapes
-@pytest.mark.parametrize("order", [17, 60])
+# at order 60 the backstop must come before listing the 966,467 shapes,
+# and at 2000 the message must not need 2000!, past the int-to-str limit
+@pytest.mark.parametrize("order", [11, 17, 60, 2000])
 def test_isotypic_components_refuse_past_the_class_table(monkeypatch, order):
     def unlisted(n):
         raise AssertionError(f"listed the shapes of {n}")
 
     monkeypatch.setattr(group_algebra, "enumerate_partitions", unlisted)
     x = SparseTensor(1, order, {(1,) * order: F(1)})
-    with pytest.raises(SizeLimitError, match=f"degree {order} is past the class table"):
+    with pytest.raises(SizeLimitError) as refused:
         isotypic_components(x)
+    assert str(refused.value) == (
+        f"degree {order} is past the class table's limit of 67108864 bytes: "
+        f"S_{order} by class takes {order}!*{order + 1} bytes"
+    )
