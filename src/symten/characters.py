@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinatorics import Part, enumerate_partitions
 
@@ -66,8 +66,7 @@ def class_size(ct: Part, n: int) -> int:
     return math.factorial(n) // centralizer
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     n: int
     partitions: tuple[Part, ...]
     classes: tuple[Part, ...]

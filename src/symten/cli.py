@@ -16,6 +16,15 @@ reference payloads, `tensor.to_json_obj` and `verdict_json`.
 checks its degree against `--max-n` once (`check_limit`), after its
 arguments and input parse and before any work.
 
+Importing this module loads only what every command shares: `argparse`,
+`json`, `linalg` and `combinatorics`.  Each `cmd_` function imports the
+layers it runs when called, on every call, so a launch compiles no module
+its command does not run: `decision` for `gamas` and `equal`,
+`group_algebra` and `tensor` for `symmetrize`, `characters` for
+`characters`, and `crosscheck` (and through it every layer) for
+`selfcheck`.  No reference is kept here, so a function rebound on its
+module is the one the next command calls.
+
 Exit codes: 0 success, 1 self-check property failure (a property that
 raises fails) or disagreeing Gamas deciders, 2 input or output error
 (stdout included), 3 size-limit exceeded.
@@ -26,23 +35,17 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from . import __version__, crosscheck
-from .characters import character_table
+from . import __version__
 from .combinatorics import SizeLimitError, is_partition
-from .decision import (
-    EqualityVerdict,
-    decide_equality,
-    gamas_nonvanishing,
-    gamas_standard,
-)
-from .group_algebra import isotypic_projector
 from .linalg import VectorFamily, format_rational, parse_rational
-from .tensor import SparseTensor, apply_element, decomposable
+
+if TYPE_CHECKING:
+    from .decision import EqualityVerdict
+    from .tensor import SparseTensor
 
 EXIT_OK = 0
 EXIT_SELFCHECK_FAILED = 1
@@ -283,6 +286,8 @@ def _formatted(to_json, result) -> dict:
 
 
 def cmd_gamas(args) -> int:
+    from .decision import gamas_nonvanishing, gamas_standard
+
     lam, fv, _ = load_instance(args.input)
     check_limit(sum(lam), args.max_n)
     nonzero, system = gamas_nonvanishing(fv, lam)
@@ -308,6 +313,8 @@ def cmd_gamas(args) -> int:
 
 
 def cmd_equal(args) -> int:
+    from .decision import decide_equality
+
     lam, fv, fu = load_instance(args.input, require_u=True)
     check_limit(sum(lam), args.max_n)
     verdict = decide_equality(fv, fu, lam, args.exhaustive_failures)
@@ -316,6 +323,9 @@ def cmd_equal(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
+    from .group_algebra import isotypic_projector
+    from .tensor import apply_element, decomposable
+
     lam, fv, _ = load_instance(args.input)
     check_limit(sum(lam), args.max_n)
     projector = isotypic_projector(lam)
@@ -329,6 +339,8 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_characters(args) -> int:
+    from .characters import character_table
+
     if args.n < 0:
         raise InputError("--n must be at least 0")
     check_limit(args.n, args.max_n)
@@ -347,6 +359,10 @@ def cmd_characters(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    import random
+
+    from . import crosscheck
+
     if args.n < 1:
         raise InputError("--n must be at least 1")
     if args.trials < 0:

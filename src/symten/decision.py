@@ -17,9 +17,8 @@ product of a matching is decided on integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import ColumnSystem, Part, Rows, iter_column_systems, iter_standard
 from .linalg import SpanKey, VectorFamily, is_independent, span_key
@@ -29,8 +28,7 @@ NO_SPAN_MATCHING = "no_span_matching"
 PRODUCT_NOT_ONE = "product_not_one"
 
 
-@dataclass(frozen=True)
-class SystemWitness:
+class SystemWitness(NamedTuple):
     """A column permutation certifying equality on one column system: its
     scalars multiply to 1."""
 
@@ -39,8 +37,7 @@ class SystemWitness:
     scalars: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class SystemFailure:
+class SystemFailure(NamedTuple):
     system: ColumnSystem
     reason: str
     # for product_not_one: the scalars of one representative matching
@@ -48,8 +45,7 @@ class SystemFailure:
     product: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
+class EqualityVerdict(NamedTuple):
     equal: bool
     mode: str  # both_vanish | witnessed | failed
     failures: tuple[SystemFailure, ...]

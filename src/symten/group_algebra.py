@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -47,12 +46,12 @@ _TABLE_DEGREE = next(
 )
 
 
-@dataclass(frozen=True, eq=False)
 class GroupAlgebraElement:
     """A rational combination of the permutations of 1..degree, as runs."""
 
-    degree: int
-    runs: tuple[Run, ...]
+    def __init__(self, degree: int, runs: tuple[Run, ...]):
+        self.degree = degree
+        self.runs = runs
 
     @functools.cached_property
     def terms(self) -> dict[Perm, Fraction]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -21,28 +20,36 @@ Vector = tuple[Fraction, ...]
 SpanKey = tuple[tuple[tuple[int, ...], ...], Fraction]  # see span_key
 
 
-@dataclass(frozen=True)
 class VectorFamily:
     """An ordered family of n vectors in an ambient space of dimension dim.
 
     Entries are non-bool ints or Fractions, stored as given; anything
-    else raises TypeError.
+    else raises TypeError.  Families are equal when their dims and
+    vectors are.
     """
 
-    dim: int
-    vectors: tuple[Vector, ...]
-    # each vector as `_scaled` gives it, for `span_key`
-    _scaled_rows: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("dim", "vectors", "_scaled_rows")
 
-    def __post_init__(self):
-        vecs = _exact(tuple(map(tuple, self.vectors)))
+    def __init__(self, dim: int, vectors: Iterable[Sequence]):
+        vecs = _exact(tuple(map(tuple, vectors)))
         for v in vecs:
-            if len(v) != self.dim:
-                raise ValueError(f"vector of length {len(v)} in dimension {self.dim}")
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "_scaled_rows", tuple(map(_scaled, vecs)))
+            if len(v) != dim:
+                raise ValueError(f"vector of length {len(v)} in dimension {dim}")
+        self.dim = dim
+        self.vectors: tuple[Vector, ...] = vecs
+        # each vector as `_scaled` gives it, for `span_key`
+        self._scaled_rows = tuple(map(_scaled, vecs))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not VectorFamily:
+            return NotImplemented
+        return (self.dim, self.vectors) == (other.dim, other.vectors)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.vectors))
+
+    def __repr__(self) -> str:
+        return f"VectorFamily(dim={self.dim!r}, vectors={self.vectors!r})"
 
     def __len__(self) -> int:
         return len(self.vectors)

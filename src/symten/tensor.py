@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter, mul
@@ -26,14 +25,25 @@ _Run = tuple[bytes, int, dict[Index, int]]
 _SLICE = 4096
 
 
-@dataclass(frozen=True)
 class SparseTensor:
-    dim: int
-    order: int
-    entries: dict[Index, Fraction] = field(default_factory=dict)
+    """A tensor of the given order over Q^dim, as its nonzero entries;
+    zeros given to the constructor are left out.  Tensors are equal when
+    their dims, orders and entries are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", {i: c for i, c in self.entries.items() if c})
+    __slots__ = ("dim", "order", "entries")
+
+    def __init__(self, dim: int, order: int, entries: dict[Index, Fraction] = {}):
+        self.dim = dim
+        self.order = order
+        self.entries = {i: c for i, c in entries.items() if c}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SparseTensor:
+            return NotImplemented
+        return (self.dim, self.order, self.entries) == (other.dim, other.order, other.entries)
+
+    def __repr__(self) -> str:
+        return f"SparseTensor(dim={self.dim!r}, order={self.order!r}, entries={self.entries!r})"
 
     @classmethod
     def _nonzero(
@@ -41,7 +51,7 @@ class SparseTensor:
     ) -> "SparseTensor":
         """The tensor of entries that are all nonzero already: not re-filtered."""
         x = object.__new__(cls)
-        x.__dict__.update(dim=dim, order=order, entries=entries)
+        x.dim, x.order, x.entries = dim, order, entries
         return x
 
 

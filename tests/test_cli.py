@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symten import characters, cli, crosscheck, group_algebra, tensor
+from symten import characters, cli, crosscheck, decision, group_algebra, tensor
 from symten.combinatorics import enumerate_partitions
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
@@ -530,7 +530,7 @@ def test_selfcheck_failure_exits_1_under_optimize():
 
 
 def test_gamas_decider_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "gamas_standard", lambda *a, **k: (False, None))
+    monkeypatch.setattr(decision, "gamas_standard", lambda *a, **k: (False, None))
     code = cli.main(["gamas", "--input", str(DATA / "gamas_nonvanishing.json")])
     captured = capsys.readouterr()
     assert code == 1

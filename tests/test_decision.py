@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -87,7 +86,7 @@ def test_gamas_deciders_honour_max_n(capsys, monkeypatch, decider):
         calls.append(args)
         return decider(*args)
 
-    monkeypatch.setattr(cli, decider.__name__, counted)
+    monkeypatch.setattr(decision, decider.__name__, counted)
     big = str(DATA / "big_instance.json")
     assert cli.main(["gamas", "--input", big]) == 3
     assert calls == []
@@ -473,7 +472,7 @@ def _class_table_without_last_shape(n):
 
 def _flip_verdict(fv, fu, lam):
     verdict = decide_equality(fv, fu, lam)
-    return dataclasses.replace(verdict, equal=not verdict.equal)
+    return verdict._replace(equal=not verdict.equal)
 
 
 @pytest.mark.parametrize(
