@@ -1,5 +1,5 @@
-"""Randomized cross-checks of the deciders against Gram forms, and of the
-brute-force oracle itself.
+"""Randomized cross-checks of the deciders and of the projection path
+against Gram forms.
 
 Each property checks one trial: given the trial index, it draws random
 families from the shared rng (adversarial ones with repeated, zero and
@@ -22,18 +22,17 @@ entry is formed.  The form is positive definite over Q, so P_lam x = 0
 exactly when its form with itself is 0, and P_lam x = P_lam y exactly
 when the form of x - y with itself is 0.
 
-The brute-force oracle, one `isotypic_components` sweep over S_n, is
-checked on its own: against the projector elements of
-`isotypic_projector`, applied with `apply_element`, and against the Gram
-forms.
+The projection path that `symmetrize` runs, `apply_element` of the
+projector elements of `isotypic_projector`, is checked on its own,
+against the Gram forms.
 
 - right_action_law: (x.s).t = x.(st) for the place-permutation action;
   one check per trial, where the others make one per shape of n.
-- projector_idempotent_and_complete: each component of the sweep is
-  fixed by its isotypic projector element, its squared norm is its Gram
-  form, and the components sum to x.  The first two check the sweep
-  against the projector elements and the Gram forms, the last the column
-  orthogonality of the character table.
+- projector_idempotent_and_complete: each component
+  apply_element(x, P_lam) is fixed by P_lam, its squared norm is its
+  Gram form, and the components sum to x.  The norms check the projector
+  path against the Gram forms, the sum the column orthogonality of the
+  character table.
 - gamas_matches_oracle: Gamas' theorem (Linear Algebra Appl. 108, 1988).
   The column-system scan, the standard-tableau scan and the Gram form
   agree on vanishing, a witness system has independent columns, and a
@@ -73,14 +72,7 @@ from .decision import (
 from .group_algebra import _class_table, _class_weights, _members, isotypic_projector
 from .linalg import VectorFamily, _scaled
 from .sampling import random_family, scaled_family, shifted_family
-from .tensor import (
-    act,
-    apply_element,
-    decomposable,
-    isotypic_components,
-    tensor_add,
-    tensor_equal,
-)
+from .tensor import act, apply_element, decomposable, tensor_add, tensor_equal
 
 DIMS = (2, 3)  # the tensor dimensions a trial draws from
 
@@ -150,8 +142,7 @@ def properties(n: int, trials: int, rng: random.Random):
     def projector_idempotent_and_complete(trial: int) -> bool:
         fam = adversarial_family()
         x = decomposable(fam)
-        components = isotypic_components(x)
-        once = [components[lam] for lam in partitions]
+        once = [apply_element(x, projectors[lam]) for lam in partitions]
         s_v = _scale(fam)
         for c, (scale, _), form in zip(once, weights, forms(fam, fam)):
             # ||c||^2 = scale * form / s_v^2, each side over one denominator

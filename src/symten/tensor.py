@@ -1,8 +1,9 @@
 """Sparse rational tensors and the right place-permutation action.
 
-This is the brute-force side of every cross-check: decomposable tensors,
-the symmetric-group action permuting tensor slots, and application of
-group-algebra elements.  Entries map n-tuples of 1-based basis indices
+Decomposable tensors, the symmetric-group action permuting tensor
+slots, and application of group-algebra elements, the one path that
+projects a tensor: `symmetrize` runs it, and `selfcheck` checks it
+against the Gram forms.  Entries map n-tuples of 1-based basis indices
 to nonzero rationals; equality of tensors is equality of entry maps.
 """
 from __future__ import annotations
@@ -10,16 +11,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable
 
-from .combinatorics import Part, Perm
-from .group_algebra import GroupAlgebraElement, _class_table, _class_weights, _members
+from .combinatorics import Perm
+from .group_algebra import GroupAlgebraElement, _members
 from .linalg import VectorFamily, _scaled, format_rational
 
 Index = tuple[int, ...]
-_Run = tuple[bytes, int, dict[Index, int]]
 
 # the permutations of a counted run whose image words are alive at once
 _SLICE = 4096
@@ -86,15 +85,17 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
     return SparseTensor._nonzero(x.dim, x.order, entries)
 
 
-def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
-    """For each run (flat, w, sums), add w times x acted on by each sigma
-    of the run into sums, on integers; returns their denominator.
+def _permuted_sums(
+    x: SparseTensor, runs: Iterable[tuple[bytes, int]]
+) -> tuple[dict[Index, int], int]:
+    """(sums, d): the sum over the runs (flat, w) of w times x acted on
+    by each sigma of the run, as integer numerators over d.
 
     flat holds the run's permutations as `group_algebra` lays them out:
     n one-line images and a 0 byte each.
-    `linalg._scaled` puts x's entries over one denominator d, so each sums
-    holds numerators over d, and w times an entry is one `int` product
-    per run.  Each run takes one of two paths:
+    `linalg._scaled` puts x's entries over one denominator d, so w times
+    an entry is one `int` product per run.  Each run takes one of two
+    paths:
 
     - counted, when n >= 2, every index of x is below 256 and the
       run has at least three permutations per entry of x: the byte table
@@ -106,9 +107,9 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
       at most one slice of words is alive at a time.  The images repeat
       (an entry's image depends only on sigma's coset under the
       stabilizer of its word), and the Python work is one addition per
-      distinct image of each entry: w c times its count, into a dict per
-      target keyed by the words, each of which becomes an index tuple
-      once, at the end.
+      distinct image of each entry: w c times its count, into a dict
+      keyed by the words, each of which becomes an index tuple once, at
+      the end.
     - walked, otherwise (small n, dense x, short run, an index past a
       byte): one `itemgetter` per sigma moves every entry, which is
       cheaper there.
@@ -122,13 +123,12 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
     # itemgetter returns a bare item for one position, and S_0 and S_1
     # hold only the identity, which drops the pad
     unpad = itemgetter(slice(1, None))
-    # id of a counted run's target -> (target, its sums keyed by image word)
-    by_word: dict[int, tuple[dict[Index, int], dict[bytes, int]]] = {}
-    for flat, w, sums in runs:
+    sums: dict[Index, int] = {}
+    words: dict[bytes, int] = {}  # the counted runs' sums, by image word
+    get, get_word = sums.get, words.get
+    for flat, w in runs:
         terms = [w * c for c in coeffs]
         if countable and len(flat) >= 3 * (n + 1) * len(padded):
-            words = by_word.setdefault(id(sums), (sums, {}))[1]
-            get = words.get
             for entry, t in zip(padded, terms):
                 table = bytes(entry).ljust(256, b"\0")
                 counts = Counter()
@@ -136,18 +136,15 @@ def _permuted_sums(x: SparseTensor, runs: Iterable[_Run]) -> int:
                     counts.update(flat[start:start + step].translate(table).split(b"\0"))
                 del counts[b""]  # after each slice's last separator
                 for word, k in counts.items():
-                    words[word] = get(word, 0) + t * k
+                    words[word] = get_word(word, 0) + t * k
             continue
-        get = sums.get
         for sigma in _members(flat, n):
             move = itemgetter(*sigma) if n > 1 else unpad
             for word, t in zip(map(move, padded), terms):
                 sums[word] = get(word, 0) + t
-    for sums, words in by_word.values():
-        get = sums.get
-        for index, v in zip(map(tuple, words), words.values()):
-            sums[index] = get(index, 0) + v
-    return d_x
+    for index, v in zip(map(tuple, words), words.values()):
+        sums[index] = get(index, 0) + v
+    return sums, d_x
 
 
 def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
@@ -166,47 +163,12 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     if g.degree != x.order:
         raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
     scaled, d_g = _scaled([w for _, w in g.runs])
-    sums: dict[Index, int] = {}
-    d = d_g * _permuted_sums(x, zip([flat for flat, _ in g.runs], scaled, repeat(sums)))
+    sums, d_x = _permuted_sums(x, zip([flat for flat, _ in g.runs], scaled))
+    d = d_g * d_x
     shared = {v: Fraction(v, d) for v in set(sums.values()) if v}
     return SparseTensor._nonzero(
         x.dim, x.order, {i: shared[v] for i, v in sums.items() if v}
     )
-
-
-def isotypic_components(x: SparseTensor) -> dict[Part, SparseTensor]:
-    """x's component in the isotypic subspace of every lam |- n, by shape.
-
-    Equals `apply_element(x, isotypic_projector(lam))` for each lam, from
-    one sweep over S_n instead of one per lam: each projector is a
-    combination of the class sums C_k (see `_class_weights`), so each class
-    of `_class_table(n)`, as its bytes, is one run of weight 1 into its own
-    target: the sweep collects every C_k x as integer sums over x's
-    denominator (a class of at least three permutations per entry counted
-    per distinct image, see `_permuted_sums`), and each component adds
-    them up with the integer character values.
-    """
-    n = x.order
-    shapes, classes = _class_table(n)
-    class_sums: list[dict[Index, int]] = [{} for _ in shapes]
-    d_x = _permuted_sums(x, zip(classes, repeat(1), class_sums))
-    # one row of class sums per index any class reaches
-    indices = list(set().union(*class_sums))
-    rows = [[sums.get(i, 0) for sums in class_sums] for i in indices]
-    components = {}
-    for lam in shapes:
-        scale, chis = _class_weights(lam, shapes)
-        d = scale.denominator * d_x
-        components[lam] = SparseTensor._nonzero(
-            x.dim,
-            n,
-            {
-                i: Fraction(scale.numerator * v, d)
-                for i, row in zip(indices, rows)
-                if (v := sum(map(mul, chis, row)))
-            },
-        )
-    return components
 
 
 def tensor_add(x: SparseTensor, y: SparseTensor) -> SparseTensor:

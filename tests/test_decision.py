@@ -8,7 +8,7 @@ from typing import Optional
 
 import pytest
 
-from symten import cli, crosscheck, decision, linalg
+from symten import cli, crosscheck, decision, linalg, tensor
 from symten.combinatorics import (
     compose,
     enumerate_column_systems,
@@ -31,7 +31,7 @@ from symten.decision import (
 from symten.group_algebra import _class_table, _class_weights, isotypic_projector
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
-from symten.tensor import apply_element, decomposable, isotypic_components, tensor_equal
+from symten.tensor import apply_element, decomposable, tensor_equal
 from tests.reference import combination, fam, of_terms, sign, verdict_json
 from tests.test_cli import DATA
 
@@ -260,7 +260,7 @@ def test_equal_pairs_that_are_not_rescalings(lam):
         ))
         g = _unimodular(rng, dim, rng.choice((1, -1)) if k % 2 == 0 else 1)
         fu = fam(*([sum(a * x for a, x in zip(row, v)) for row in g] for v in fv.vectors))
-        cv, cu = (isotypic_components(decomposable(f))[lam] for f in (fv, fu))
+        cv, cu = (apply_element(decomposable(f), isotypic_projector(lam)) for f in (fv, fu))
         assert tensor_equal(cv, cu)
         assert decide_equality(fv, fu, lam).equal
 
@@ -419,23 +419,17 @@ def _leaky_projector(lam):
     return projector
 
 
-def _components_without_identity(x):
-    """Every isotypic component with the identity's class left out of the
-    sweep: the projector applied without its identity term."""
-    components = {}
-    shapes, _ = _class_table(x.order)
-    for lam in shapes:
-        terms = dict(isotypic_projector(lam).terms)
-        del terms[tuple(range(1, x.order + 1))]
-        components[lam] = apply_element(x, of_terms(x.order, terms))
-    return components
+def _apply_without_identity(x, g):
+    """The element applied without its identity term."""
+    terms = dict(g.terms)
+    del terms[tuple(range(1, g.degree + 1))]
+    return apply_element(x, of_terms(g.degree, terms))
 
 
-def _components_of_next_shape(x):
-    """Each shape given the component of the shape after it."""
-    components = isotypic_components(x)
-    shapes = list(components)
-    return {lam: components[shapes[(k + 1) % len(shapes)]] for k, lam in enumerate(shapes)}
+def _projector_of_next_shape(lam):
+    """Each shape given the projector of the shape after it."""
+    shapes, _ = _class_table(sum(lam))
+    return isotypic_projector(shapes[(shapes.index(lam) + 1) % len(shapes)])
 
 
 def _class_sums_without_identity(fv, fu):
@@ -486,9 +480,8 @@ def _flip_verdict(fv, fu, lam):
         ("gamas_matches_oracle", "gamas_standard", _reversed_rows),
         ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
         ("equality_matches_oracle", "decide_equality", _flip_verdict),
-        ("projector_idempotent_and_complete", "isotypic_components",
-         _components_without_identity),
-        ("projector_idempotent_and_complete", "isotypic_components", _components_of_next_shape),
+        ("projector_idempotent_and_complete", "apply_element", _apply_without_identity),
+        ("projector_idempotent_and_complete", "isotypic_projector", _projector_of_next_shape),
         ("gamas_matches_oracle", "_class_sums", _class_sums_without_identity),
         ("gamas_matches_oracle", "_class_weights", _weights_of_next_shape),
         ("equality_matches_oracle", "_class_sums", _class_sums_without_identity),
@@ -503,6 +496,25 @@ def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, target, br
     monkeypatch.setattr(crosscheck, target, broken)
     prop = dict(crosscheck.properties(3, 6, random.Random(1)))[name]
     assert prop() is None
+
+
+class _FirstImageDropped(Counter):
+    """A counted run's tally of an entry's images with its first distinct
+    image left out."""
+
+    def items(self):
+        return list(super().items())[1:]
+
+
+def test_selfcheck_catches_a_broken_counted_path(monkeypatch, capsys):
+    """The counted path of `apply_element`, which `symmetrize` runs, with
+    one image of each entry dropped, fails the projector property at CI's
+    first selfcheck setting: n = 3, 25 trials, seed 0."""
+    monkeypatch.setattr(tensor, "Counter", _FirstImageDropped)
+    code = cli.main(["selfcheck", "--n", "3", "--trials", "25", "--seed", "0"])
+    results = json.loads(capsys.readouterr().out)["properties"]
+    assert code == cli.EXIT_SELFCHECK_FAILED
+    assert [r["name"] for r in results if not r["pass"]] == ["projector_idempotent_and_complete"]
 
 
 def _without_product_check(system, pairs, ratios):

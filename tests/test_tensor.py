@@ -27,7 +27,6 @@ from symten.tensor import (
     apply_element,
     decomposable,
     is_zero,
-    isotypic_components,
     tensor_add,
     tensor_equal,
     to_json_obj,
@@ -162,11 +161,10 @@ def test_builders_do_not_refilter_nonzero_entries(monkeypatch):
     x = decomposable(family)
     result = apply_element(x, isotypic_projector((2, 1, 1)))
     moved = act(result, (2, 3, 4, 1))
-    components = isotypic_components(x)
+    components = [apply_element(x, isotypic_projector(lam)) for lam in enumerate_partitions(4)]
     monkeypatch.undo()
     assert calls == []
-    assert tensor_equal(components[(2, 1, 1)], result)
-    for t in (x, result, moved, *components.values()):
+    for t in (x, result, moved, *components):
         assert all(t.entries.values())
 
 
@@ -433,10 +431,13 @@ def test_apply_element_of_a_long_run_holds_one_slice_of_words():
 
 @pytest.mark.parametrize("top", [255, 256])
 def test_isotypic_components_past_a_byte_match_projectors(top):
+    """Index 255 is the last a byte table holds, so the projectors' long
+    runs are counted; 256 sends every run down the walked path."""
     x = SparseTensor(300, 4, {(top, 1, top, 7): F(2, 3), (3, top, 299 - top, top): F(-1, 4),
                               (top, top, top, 2): F(5)})
-    for lam, component in isotypic_components(x).items():
-        assert component.entries == apply_element(x, isotypic_projector(lam)).entries
+    for lam in enumerate_partitions(4):
+        projector = isotypic_projector(lam)
+        assert apply_element(x, projector).entries == _reference_apply(x, projector)
 
 
 def test_projector_weights_are_scaled_once_per_run(monkeypatch):
@@ -484,13 +485,11 @@ def _tensors(draw):
 @example(SparseTensor(2, 0, {(): F(-3, 4)}))
 @example(SparseTensor(3, 1, {(1,): F(1, 2), (3,): F(2, 3)}))
 @example(SparseTensor(2, 3, {(1, 2, 2): F(1, 6), (2, 1, 1): F(-3, 4), (1, 1, 1): F(5)}))
-def test_isotypic_components_match_projectors(x):
-    components = isotypic_components(x)
-    assert list(components) == enumerate_partitions(x.order)
+def test_isotypic_components_sum_to_the_tensor(x):
     total = SparseTensor(x.dim, x.order)
-    for lam, component in components.items():
+    for lam in enumerate_partitions(x.order):
+        component = apply_element(x, isotypic_projector(lam))
         assert (component.dim, component.order) == (x.dim, x.order)
-        assert component.entries == apply_element(x, isotypic_projector(lam)).entries
         assert all(type(c) is F for c in component.entries.values())
         total = tensor_add(total, component)
     assert tensor_equal(total, x)
@@ -501,7 +500,7 @@ def _family_pairs(draw):
     """Two families of n <= 6 vectors in dim 1..4 with mixed denominators:
     zero vectors, vectors repeated within a family and vectors shared by
     both.  At n >= 5 a vector has at most two nonzero entries, which keeps
-    the sweep small."""
+    the projected tensors small."""
     n = draw(st.integers(0, 6))
     dim = draw(st.integers(1, 4))
     width = dim if n < 5 else min(dim, 2)
@@ -523,20 +522,22 @@ def _family_pairs(draw):
 @example((fam((F(1, 2), 3)), fam((F(-2, 3), 0))))
 @example((fam((0, 0)), fam((1, 1))))
 @example((fam((1, F(1, 2)), (1, F(1, 2)), (2, 0)), fam((2, 1), (F(1, 3), 0), (0, 0))))
-def test_gram_forms_match_the_sweep(pair):
+def test_gram_forms_match_the_projected_tensors(pair):
     """For every shape, scale * sum_k chi_k S_k / (s_v s_u), from the Gram
-    class sums, is the inner product of the two swept components."""
+    class sums, is the inner product of the two projected tensors."""
     fv, fu = pair
     shapes, _ = _class_table(len(fv))
     sums = crosscheck._class_sums(fv, fu)
     s_v, s_u = map(crosscheck._scale, pair)
-    cv = isotypic_components(decomposable(fv))
-    cu = isotypic_components(decomposable(fu))
+    x, y = decomposable(fv), decomposable(fu)
     for lam in shapes:
         scale, chis = _class_weights(lam, shapes)
         form = scale * F(sum(map(mul, chis, sums)), s_v * s_u)
-        entries = cu[lam].entries
-        assert form == sum(c * entries.get(i, 0) for i, c in cv[lam].entries.items())
+        projector = isotypic_projector(lam)
+        entries = apply_element(y, projector).entries
+        assert form == sum(
+            c * entries.get(i, 0) for i, c in apply_element(x, projector).entries.items()
+        )
 
 
 # at order 60 the backstop must come before listing the 966,467 shapes,
@@ -547,9 +548,8 @@ def test_isotypic_components_refuse_past_the_class_table(monkeypatch, order):
         raise AssertionError(f"listed the shapes of {n}")
 
     monkeypatch.setattr(group_algebra, "enumerate_partitions", unlisted)
-    x = SparseTensor(1, order, {(1,) * order: F(1)})
     with pytest.raises(SizeLimitError) as refused:
-        isotypic_components(x)
+        isotypic_projector((order,))
     assert str(refused.value) == (
         f"degree {order} is past the class table's limit of 67108864 bytes: "
         f"S_{order} by class takes {order}!*{order + 1} bytes"
