@@ -2,25 +2,29 @@
 
 Reads problem instances as JSON, runs the combinatorial deciders and the
 brute-force tensor oracle, and emits JSON verdicts, witnesses, tensors
-and character tables.  Rationals travel as strings ("p/q" or "p"), never
-as floats, and every payload is ordered deterministically so reruns are
-byte-identical.  Every command writes its payload through `_json_text`,
-which gives exactly the bytes of `json.dumps(payload, indent=2)`.  The
-two payloads that grow with the problem hold their long lists as text
-written already (`_Written`), about one Python step per record:
-`symmetrize` writes one template per tensor entry, and `equal` one per
-witness or failure, with each column's and each rational's text written
-once per call.  The tests hold these bytes to `json.dumps` of the
-reference payloads, `tensor.to_json_obj` and `verdict_json`.
-`selfcheck` runs the properties of `symten.crosscheck`.  Each command
-checks its degree against `--max-n` once (`check_limit`), after its
-arguments and input parse and before any work.
+and character tables.  `symmetrize` projects through `tensor.project`,
+which drops the weights its shape does not dominate (Young's rule) before
+it applies the isotypic projector, and builds none when no weight is
+left.  Rationals travel as strings ("p/q" or "p"), never as floats, and
+every payload is ordered deterministically so reruns are byte-identical.
+Every command writes its payload through `_json_text`, which gives
+exactly the bytes of `json.dumps(payload, indent=2)`.  The two payloads
+that grow with the problem hold their long lists as text written already
+(`_Written`), about one Python step per record: `symmetrize` writes one
+`%` template per tensor entry, and `equal` one per witness or failure,
+with each column's and each rational's text written once per call.  The
+tests hold these bytes to `json.dumps` of the reference payloads,
+`tensor.to_json_obj` and `verdict_json`.  `selfcheck` runs the
+properties of `symten.crosscheck`.  Each command checks its degree
+against `--max-n` once (`check_limit`), after its arguments and input
+parse and before any work; `symmetrize` then checks the class table's
+degree bound before it builds the tensor.
 
 Importing this module loads only what every command shares: `argparse`,
 `json`, `linalg` and `combinatorics`.  Each `cmd_` function imports the
 layers it runs when called, on every call, so a launch compiles no module
-its command does not run: `decision` for `gamas` and `equal`,
-`group_algebra` and `tensor` for `symmetrize`, `characters` for
+its command does not run: `decision` for `gamas` and `equal`, `tensor`
+(and through it `group_algebra`) for `symmetrize`, `characters` for
 `characters`, and `crosscheck` (and through it every layer) for
 `selfcheck`.  No reference is kept here, so a function rebound on its
 module is the one the next command calls.
@@ -217,17 +221,18 @@ def _rational_writer() -> Callable[[Fraction], str]:
 
 def _tensor_json(x: SparseTensor) -> dict:
     """`tensor.to_json_obj(x)` with its entries written already: each
-    entry, in index order, by one template, with no dict or list built
-    for it, and each coefficient object written once (`_rational_writer`):
+    entry, in index order, by one `%` template for the order, `%d` per
+    slot and `%s` for the coefficient, with no dict or list built for it,
+    and each coefficient object written once (`_rational_writer`):
     `apply_element` shares one `Fraction` between the entries of one
     value."""
     rational = _rational_writer()
-    head = '{\n      "index": [' + ("\n        " if x.order else "")
-    tail = ("\n      " if x.order else "") + '],\n      "coeff": '
-    sep = ",\n        "
+    slots = ",\n        ".join(["%d"] * x.order)
+    if x.order:
+        slots = "\n        " + slots + "\n      "
+    template = '{\n      "index": [' + slots + '],\n      "coeff": %s\n    }'
     entries = [
-        head + sep.join(map(str, index)) + tail + rational(coeff) + "\n    }"
-        for index, coeff in sorted(x.entries.items())
+        template % (*index, rational(coeff)) for index, coeff in sorted(x.entries.items())
     ]
     return {"dim": x.dim, "order": x.order, "entries": _Written(_json_list(entries, "\n  "))}
 
@@ -323,13 +328,14 @@ def cmd_equal(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    from .group_algebra import isotypic_projector
-    from .tensor import apply_element, decomposable
+    from .group_algebra import _check_table_degree
+    from .tensor import decomposable, project
 
     lam, fv, _ = load_instance(args.input)
     check_limit(sum(lam), args.max_n)
-    projector = isotypic_projector(lam)
-    result = apply_element(decomposable(fv), projector)
+    # before the d^n entries are built, not only inside `project`
+    _check_table_degree(sum(lam))
+    result = project(decomposable(fv), lam)
     if args.shape_only:
         obj = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
     else:

@@ -22,17 +22,18 @@ entry is formed.  The form is positive definite over Q, so P_lam x = 0
 exactly when its form with itself is 0, and P_lam x = P_lam y exactly
 when the form of x - y with itself is 0.
 
-The projection path that `symmetrize` runs, `apply_element` of the
-projector elements of `isotypic_projector`, is checked on its own,
-against the Gram forms.
+The projection path that `symmetrize` runs, `tensor.project` (Young's
+rule's pruning of the weights the shape does not dominate, then
+`apply_element` of the projector element of `isotypic_projector`), is
+checked on its own, against the Gram forms.
 
 - right_action_law: (x.s).t = x.(st) for the place-permutation action;
   one check per trial, where the others make one per shape of n.
-- projector_idempotent_and_complete: each component
-  apply_element(x, P_lam) is fixed by P_lam, its squared norm is its
-  Gram form, and the components sum to x.  The norms check the projector
-  path against the Gram forms, the sum the column orthogonality of the
-  character table.
+- projector_idempotent_and_complete: each component project(x, lam)
+  is fixed by project(., lam), its squared norm is its Gram form, and
+  the components sum to x.  The norms check the projection path, the
+  pruning included, against the Gram forms, the sum the column
+  orthogonality of the character table.
 - gamas_matches_oracle: Gamas' theorem (Linear Algebra Appl. 108, 1988).
   The column-system scan, the standard-tableau scan and the Gram form
   agree on vanishing, a witness system has independent columns, and a
@@ -69,10 +70,10 @@ from .decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from .group_algebra import _class_table, _class_weights, _members, isotypic_projector
+from .group_algebra import _class_table, _class_weights, _members
 from .linalg import VectorFamily, _scaled
 from .sampling import random_family, scaled_family, shifted_family
-from .tensor import act, apply_element, decomposable, tensor_add, tensor_equal
+from .tensor import act, decomposable, project, tensor_add, tensor_equal
 
 DIMS = (2, 3)  # the tensor dimensions a trial draws from
 
@@ -120,7 +121,6 @@ def properties(n: int, trials: int, rng: random.Random):
     the one rng; each trial draws its tensor dimension from DIMS, and each
     fn returns its number of checks, or None at the first failing trial."""
     partitions, _ = _class_table(n)
-    projectors = {lam: isotypic_projector(lam) for lam in partitions}
     weights = [_class_weights(lam, partitions) for lam in partitions]
     perms = list(enumerate_permutations(n))
 
@@ -142,7 +142,7 @@ def properties(n: int, trials: int, rng: random.Random):
     def projector_idempotent_and_complete(trial: int) -> bool:
         fam = adversarial_family()
         x = decomposable(fam)
-        once = [apply_element(x, projectors[lam]) for lam in partitions]
+        once = [project(x, lam) for lam in partitions]
         s_v = _scale(fam)
         for c, (scale, _), form in zip(once, weights, forms(fam, fam)):
             # ||c||^2 = scale * form / s_v^2, each side over one denominator
@@ -152,7 +152,7 @@ def properties(n: int, trials: int, rng: random.Random):
             ):
                 return False
         return all(
-            tensor_equal(apply_element(c, projectors[lam]), c) for lam, c in zip(partitions, once)
+            tensor_equal(project(c, lam), c) for lam, c in zip(partitions, once)
         ) and tensor_equal(functools.reduce(tensor_add, once), x)
 
     def gamas_matches_oracle(trial: int) -> bool:

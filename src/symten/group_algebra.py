@@ -60,20 +60,28 @@ class GroupAlgebraElement:
         return {p: w for flat, w in self.runs for p in _members(flat, n)}
 
 
-@functools.cache
-def _class_table(n: int) -> tuple[tuple[Part, ...], tuple[bytes, ...]]:
-    """(shapes, classes): the partitions of n in enumerate_partitions
-    order, and S_n by class in that order, each class's permutations in
-    enumerate_permutations order, flat, n images and a 0 byte each.  A
-    table past TABLE_BYTES (n > 10) raises SizeLimitError at once, before
-    any listing, whatever the command's size limit: the library's one
-    guard, on the work and the memory, since S_11 by class takes 479 MB.
-    """
+def _check_table_degree(n: int) -> None:
+    """Raise SizeLimitError for a degree whose class table would pass
+    TABLE_BYTES (n > 10), whatever the command's size limit: the
+    library's one guard, on the work and the memory, since S_11 by class
+    takes 479 MB.  `_class_table` checks it before any listing, and
+    `tensor.project` before it decides that a projection is 0."""
     if n > _TABLE_DEGREE:
         raise SizeLimitError(
             f"degree {n} is past the class table's limit of {TABLE_BYTES} bytes: "
             f"S_{n} by class takes {n}!*{n + 1} bytes"
         )
+
+
+@functools.cache
+def _class_table(n: int) -> tuple[tuple[Part, ...], tuple[bytes, ...]]:
+    """(shapes, classes): the partitions of n in enumerate_partitions
+    order, and S_n by class in that order, each class's permutations in
+    enumerate_permutations order, flat, n images and a 0 byte each.  A
+    table past TABLE_BYTES raises SizeLimitError at once, before any
+    listing (`_check_table_degree`).
+    """
+    _check_table_degree(n)
     shapes = tuple(enumerate_partitions(n))
     table = {ct: bytearray() for ct in shapes}
     for p in enumerate_permutations(n):

@@ -1,8 +1,10 @@
 """Sparse rational tensors and the right place-permutation action.
 
 Decomposable tensors, the symmetric-group action permuting tensor
-slots, and application of group-algebra elements, the one path that
-projects a tensor: `symmetrize` runs it, and `selfcheck` checks it
+slots, application of group-algebra elements, and `project`, the one
+path that projects a tensor: it leaves out the entries whose weight the
+shape does not dominate (Young's rule) and applies the isotypic
+projector to the rest.  `symmetrize` runs it, and `selfcheck` checks it
 against the Gram forms.  Entries map n-tuples of 1-based basis indices
 to nonzero rationals; equality of tensors is equality of entry maps.
 """
@@ -11,11 +13,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate
+from operator import ge, itemgetter
 from typing import Iterable
 
-from .combinatorics import Perm
-from .group_algebra import GroupAlgebraElement, _members
+from .combinatorics import Part, Perm
+from .group_algebra import (
+    GroupAlgebraElement,
+    _check_table_degree,
+    _members,
+    isotypic_projector,
+)
 from .linalg import VectorFamily, _scaled, format_rational
 
 Index = tuple[int, ...]
@@ -169,6 +177,46 @@ def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
     return SparseTensor._nonzero(
         x.dim, x.order, {i: shared[v] for i, v in sums.items() if v}
     )
+
+
+def project(x: SparseTensor, lam: Part) -> SparseTensor:
+    """P_lam x, the component of x in the isotypic component of lam: equal
+    to `apply_element(x, isotypic_projector(lam))`, with the entries that
+    P_lam sends to 0 left out first.
+
+    The place permutations keep each weight space, the span of the
+    indices of one multiset of letters.  The weight space of the letter
+    counts mu, largest first, is the permutation module M^mu, which holds
+    the isotypic component of lam iff lam dominates mu (Young's rule:
+    James, LNM 682, 1978; Fulton, Young Tableaux, 1997), so P_lam is 0 on
+    every entry of another weight.  Dominance is decided once per
+    distinct sorted index.  When no entry is kept, as for every x when
+    lam has more rows than x.dim, the result is the zero tensor and no
+    projector is built; the class table's degree bound
+    (`_check_table_degree`) is checked first, so a degree past it is
+    refused either way.
+    """
+    lam = tuple(lam)
+    n = sum(lam)
+    if n != x.order:
+        raise ValueError(f"degree mismatch: {n} != order {x.order}")
+    _check_table_degree(n)
+    bounds = list(accumulate(lam))
+    dominated: dict[Index, bool] = {}  # by sorted index
+    kept = {}
+    for index, coeff in x.entries.items():
+        word = tuple(sorted(index))
+        keep = dominated.get(word)
+        if keep is None:
+            mu = sorted(map(word.count, set(word)), reverse=True)
+            # map stops at the shorter, which decides: a longer lam sums
+            # below n where mu's sums reach n; past a longer mu, lam's are n
+            keep = dominated[word] = all(map(ge, bounds, accumulate(mu)))
+        if keep:
+            kept[index] = coeff
+    if not kept:
+        return SparseTensor._nonzero(x.dim, x.order, {})
+    return apply_element(SparseTensor._nonzero(x.dim, x.order, kept), isotypic_projector(lam))
 
 
 def tensor_add(x: SparseTensor, y: SparseTensor) -> SparseTensor:

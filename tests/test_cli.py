@@ -295,14 +295,24 @@ def test_selfcheck_reaches_the_class_table_before_any_listing(capsys, monkeypatc
     )
 
 
-@pytest.mark.parametrize("command", ["symmetrize", "selfcheck"])
-def test_degree_past_the_class_table_exits_3(capsys, tmp_path, command):
-    # S_11 by class would take 11!*12 bytes, 479 MB; the table stops at 10
+@pytest.mark.parametrize("command", ["symmetrize", "selfcheck", "symmetrize-tall"])
+def test_degree_past_the_class_table_exits_3(capsys, monkeypatch, tmp_path, command):
+    # S_11 by class would take 11!*12 bytes, 479 MB; the table stops at 10.
+    # (1^11) has more rows than dim 2, so its projection is 0 with no
+    # projector built, and is refused all the same.  symmetrize refuses
+    # before it builds the tensor: a dense one of degree n has d^n entries
+    def unbuilt(fv):
+        raise AssertionError("built the tensor")
+
+    monkeypatch.setattr(tensor, "decomposable", unbuilt)
     instance = tmp_path / "n11.json"
     instance.write_text(json.dumps({"dim": 2, "lambda": [11], "v": [["1", "0"]] * 11}))
+    tall = tmp_path / "n11-tall.json"
+    tall.write_text(json.dumps({"dim": 2, "lambda": [1] * 11, "v": [["1", "2"]] * 11}))
     argv = {
         "symmetrize": ["symmetrize", "--input", str(instance)],
         "selfcheck": ["selfcheck", "--n", "11", "--trials", "0"],
+        "symmetrize-tall": ["symmetrize", "--input", str(tall)],
     }[command]
     assert cli.main([*argv, "--max-n", "11"]) == 3
     captured = capsys.readouterr()

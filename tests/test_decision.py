@@ -31,7 +31,7 @@ from symten.decision import (
 from symten.group_algebra import _class_table, _class_weights, isotypic_projector
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
-from symten.tensor import apply_element, decomposable, tensor_equal
+from symten.tensor import apply_element, decomposable, project, tensor_equal
 from tests.reference import combination, fam, of_terms, sign, verdict_json
 from tests.test_cli import DATA
 
@@ -469,31 +469,43 @@ def _flip_verdict(fv, fu, lam):
     return verdict._replace(equal=not verdict.equal)
 
 
+def _project_dropping_its_own_weight(x, lam):
+    """`project` with one weight too many left out: lam's own, which lam
+    dominates."""
+    kept = {i: c for i, c in x.entries.items() if sorted(Counter(i).values())[::-1] != list(lam)}
+    return project(tensor.SparseTensor(x.dim, x.order, kept), lam)
+
+
 @pytest.mark.parametrize(
-    "name,target,broken",
+    "name,module,target,broken",
     [
-        ("right_action_law", "compose", lambda s, t: compose(t, s)),
-        ("projector_idempotent_and_complete", "isotypic_projector", _leaky_projector),
-        ("projector_idempotent_and_complete", "_class_table", _class_table_without_last_shape),
-        ("gamas_matches_oracle", "_class_sums", _identity_class_sum),
-        ("gamas_matches_oracle", "gamas_standard", lambda fam, lam: (False, None)),
-        ("gamas_matches_oracle", "gamas_standard", _reversed_rows),
-        ("gamas_matches_oracle", "columns_independent", lambda fam, system: False),
-        ("equality_matches_oracle", "decide_equality", _flip_verdict),
-        ("projector_idempotent_and_complete", "apply_element", _apply_without_identity),
-        ("projector_idempotent_and_complete", "isotypic_projector", _projector_of_next_shape),
-        ("gamas_matches_oracle", "_class_sums", _class_sums_without_identity),
-        ("gamas_matches_oracle", "_class_weights", _weights_of_next_shape),
-        ("equality_matches_oracle", "_class_sums", _class_sums_without_identity),
-        ("equality_matches_oracle", "_class_weights", _weights_of_next_shape),
+        ("right_action_law", crosscheck, "compose", lambda s, t: compose(t, s)),
+        ("projector_idempotent_and_complete", tensor, "isotypic_projector", _leaky_projector),
+        ("projector_idempotent_and_complete", crosscheck, "_class_table",
+         _class_table_without_last_shape),
+        ("gamas_matches_oracle", crosscheck, "_class_sums", _identity_class_sum),
+        ("gamas_matches_oracle", crosscheck, "gamas_standard", lambda fam, lam: (False, None)),
+        ("gamas_matches_oracle", crosscheck, "gamas_standard", _reversed_rows),
+        ("gamas_matches_oracle", crosscheck, "columns_independent", lambda fam, system: False),
+        ("equality_matches_oracle", crosscheck, "decide_equality", _flip_verdict),
+        ("projector_idempotent_and_complete", tensor, "apply_element", _apply_without_identity),
+        ("projector_idempotent_and_complete", tensor, "isotypic_projector",
+         _projector_of_next_shape),
+        ("gamas_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity),
+        ("gamas_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape),
+        ("equality_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity),
+        ("equality_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape),
+        ("projector_idempotent_and_complete", crosscheck, "project",
+         _project_dropping_its_own_weight),
     ],
     ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
          "witness", "equality",
          "sweep-class-idempotent", "sweep-shape-idempotent", "sweep-class-gamas",
-         "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality"],
+         "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality",
+         "pruned-own-weight"],
 )
-def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, target, broken):
-    monkeypatch.setattr(crosscheck, target, broken)
+def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, module, target, broken):
+    monkeypatch.setattr(module, target, broken)
     prop = dict(crosscheck.properties(3, 6, random.Random(1)))[name]
     assert prop() is None
 
@@ -508,13 +520,17 @@ class _FirstImageDropped(Counter):
 
 def test_selfcheck_catches_a_broken_counted_path(monkeypatch, capsys):
     """The counted path of `apply_element`, which `symmetrize` runs, with
-    one image of each entry dropped, fails the projector property at CI's
-    first selfcheck setting: n = 3, 25 trials, seed 0."""
+    one image of each entry dropped, fails the projector property at two
+    of CI's selfcheck settings, seed 0: n = 3 with 25 trials, and n = 6
+    with 3 trials."""
     monkeypatch.setattr(tensor, "Counter", _FirstImageDropped)
-    code = cli.main(["selfcheck", "--n", "3", "--trials", "25", "--seed", "0"])
-    results = json.loads(capsys.readouterr().out)["properties"]
-    assert code == cli.EXIT_SELFCHECK_FAILED
-    assert [r["name"] for r in results if not r["pass"]] == ["projector_idempotent_and_complete"]
+    for n, trials in [(3, 25), (6, 3)]:
+        code = cli.main(["selfcheck", "--n", str(n), "--trials", str(trials), "--seed", "0"])
+        results = json.loads(capsys.readouterr().out)["properties"]
+        assert code == cli.EXIT_SELFCHECK_FAILED, n
+        assert [r["name"] for r in results if not r["pass"]] == [
+            "projector_idempotent_and_complete"
+        ]
 
 
 def _without_product_check(system, pairs, ratios):

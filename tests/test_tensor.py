@@ -27,6 +27,7 @@ from symten.tensor import (
     apply_element,
     decomposable,
     is_zero,
+    project,
     tensor_add,
     tensor_equal,
     to_json_obj,
@@ -554,3 +555,81 @@ def test_isotypic_components_refuse_past_the_class_table(monkeypatch, order):
         f"degree {order} is past the class table's limit of 67108864 bytes: "
         f"S_{order} by class takes {order}!*{order + 1} bytes"
     )
+
+
+def _mixed(rng: random.Random) -> Fraction:
+    """A nonzero rational with one of the denominators 1, 2, 3 and 6."""
+    return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 6)))
+
+
+def _sparse_family(rng: random.Random, n: int, dim: int, wide: int) -> VectorFamily:
+    """n vectors in dim with mixed denominators, the first `wide` with up to
+    two nonzero entries and the rest with one, so the tensor has at most
+    2**wide entries."""
+    vectors = []
+    for i in range(n):
+        vector = [F(0)] * dim
+        for slot in rng.sample(range(dim), min(dim, 2 if i < wide else 1)):
+            vector[slot] = _mixed(rng)
+        vectors.append(tuple(vector))
+    rng.shuffle(vectors)
+    return VectorFamily(dim, tuple(vectors))
+
+
+def _projection_cases(n: int, rng: random.Random, wide: int):
+    """Order-n tensors in dims 1 to 4: the zero tensor, one entry, a
+    decomposable tensor and the sum of two, with mixed denominators."""
+    for dim in (1, 2, 3, 4):
+        yield SparseTensor(dim, n)
+        yield SparseTensor(dim, n, {tuple(rng.choices(range(1, dim + 1), k=n)): _mixed(rng)})
+        x = decomposable(_sparse_family(rng, n, dim, wide))
+        yield x
+        yield tensor_add(x, decomposable(_sparse_family(rng, n, dim, wide)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_project_equals_the_projector_path_for_every_shape(n):
+    rng = random.Random(600 + n)
+    for x in _projection_cases(n, rng, wide=n):
+        for lam in enumerate_partitions(n):
+            assert project(x, lam) == apply_element(x, isotypic_projector(lam)), (x, lam)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_project_equals_the_projector_path_on_a_sample_past_6(n):
+    rng = random.Random(700 + n)
+    shapes = list(enumerate_partitions(n))
+    for x in _projection_cases(n, rng, wide=3):
+        for lam in rng.sample(shapes, 4):
+            assert project(x, lam) == apply_element(x, isotypic_projector(lam)), (x, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_project_builds_no_projector_for_weights_the_shape_does_not_dominate(monkeypatch, n):
+    """Every tensor when the shape has more rows than the dimension, and
+    one entry of weight mu, in any order of its letters, when the shape
+    does not dominate mu."""
+
+    def unbuilt(lam):
+        raise AssertionError(f"built the projector of {lam}")
+
+    monkeypatch.setattr(tensor, "isotypic_projector", unbuilt)
+    rng = random.Random(800 + n)
+    shapes = list(enumerate_partitions(n))
+    for dim in range(1, n):
+        x = decomposable(random_family(rng, n, dim, adversarial=True))
+        for lam in shapes:
+            if len(lam) > dim:
+                assert project(x, lam) == SparseTensor(dim, n)
+    for mu in shapes:
+        word = [letter for letter, count in enumerate(mu, 1) for _ in range(count)]
+        rng.shuffle(word)
+        x = SparseTensor(n, n, {tuple(word): _mixed(rng)})
+        for lam in shapes:
+            if any(sum(lam[:k]) < sum(mu[:k]) for k in range(1, n + 1)):
+                assert project(x, lam) == SparseTensor(n, n), (lam, mu)
+
+
+def test_project_refuses_a_shape_of_another_degree():
+    with pytest.raises(ValueError, match="degree mismatch: 3 != order 2"):
+        project(SparseTensor(2, 2), (2, 1))
