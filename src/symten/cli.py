@@ -7,11 +7,12 @@ which drops the weights its shape does not dominate (Young's rule) before
 it applies the isotypic projector, and builds none when no weight is
 left.  Rationals travel as strings ("p/q" or "p"), never as floats, and
 every payload is ordered deterministically so reruns are byte-identical.
-Every command writes its payload through `_json_text`, which gives
-exactly the bytes of `json.dumps(payload, indent=2)`.  The two payloads
-that grow with the problem hold their long lists as text written already
-(`_Written`), about one Python step per record: `symmetrize` writes one
-`%` template per tensor entry, and `equal` one per witness or failure,
+Every command writes exactly the bytes of
+`json.dumps(payload, indent=2)`.  `characters`, `selfcheck` and
+`symmetrize --shape-only`, whose payloads are small, call `json.dumps`.
+Each other payload is one `%` template, about one Python step per
+record: `gamas` joins in its witnesses' columns, `symmetrize` writes one
+more template per tensor entry, and `equal` one per witness or failure,
 with each column's and each rational's text written once per call.  The
 tests hold these bytes to `json.dumps` of the reference payloads,
 `tensor.to_json_obj` and `verdict_json`.  `selfcheck` runs the
@@ -123,11 +124,6 @@ def load_instance(path: str, require_u: bool = False):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class _Written(str):
-    """JSON text written already for the place it has in a payload, which
-    `_json_text` copies as it is."""
-
-
 def _json_list(items: Iterable[str], newline: str) -> str:
     """The JSON list of items, each JSON text written for one level below
     newline, the line break and indentation of the list's own level."""
@@ -136,48 +132,8 @@ def _json_list(items: Iterable[str], newline: str) -> str:
     return "[" + inner + body + newline + "]" if body else "[]"
 
 
-def _json_text(obj, newline: str = "\n") -> str:
-    """Exactly `json.dumps(obj, indent=2)`, built by joining strings.
-
-    Takes dicts with str keys, lists, strs, ints, bools, None and
-    `_Written` text, and raises TypeError for anything else, floats and
-    tuples included.
-    Strings are escaped by the encoder `json.dumps` uses, which refuses
-    non-str keys, and ints are written by `int.__repr__` as it writes
-    them; a list of ints only or of strings only is written by one join.
-    newline is the line break and indentation of the current nesting level.
-    """
-    kind = type(obj)
-    if kind is list:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            items = map(int.__repr__, obj)
-        elif kinds == {str}:
-            items = map(_encode_str, obj)
-        else:
-            items = [_json_text(x, newline + "  ") for x in obj]
-        return _json_list(items, newline)
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is str:
-        return _encode_str(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if kind is _Written:
-        return obj
-    raise TypeError(f"not written as JSON: {kind.__name__}")
-
-
-def _emit(obj: dict, output: str | None) -> None:
-    text = _json_text(obj) + "\n"
+def _emit(text: str, output: str | None) -> None:
+    text += "\n"
     if output:
         try:
             with open(output, "w") as handle:
@@ -197,8 +153,12 @@ def _emit(obj: dict, output: str | None) -> None:
             raise InputError(f"cannot write stdout: {exc}") from exc
 
 
-def _system_json(system) -> list[list[int]]:
-    return [list(column) for column in system]
+def _columns_json(columns) -> str:
+    """`json.dumps` of columns, a sequence of int sequences or None, as the
+    value of a top-level key: a list of int lists, or null."""
+    if columns is None:
+        return "null"
+    return _json_list((_json_list(map(str, c), "\n    ") for c in columns), "\n  ")
 
 
 def _rational_writer() -> Callable[[Fraction], str]:
@@ -219,11 +179,11 @@ def _rational_writer() -> Callable[[Fraction], str]:
     return rational
 
 
-def _tensor_json(x: SparseTensor) -> dict:
-    """`tensor.to_json_obj(x)` with its entries written already: each
-    entry, in index order, by one `%` template for the order, `%d` per
-    slot and `%s` for the coefficient, with no dict or list built for it,
-    and each coefficient object written once (`_rational_writer`):
+def _tensor_text(x: SparseTensor) -> str:
+    """`json.dumps(tensor.to_json_obj(x), indent=2)`, from one template:
+    each entry, in index order, by one `%` template for the order, `%d`
+    per slot and `%s` for the coefficient, with no dict or list built for
+    it, and each coefficient object written once (`_rational_writer`):
     `apply_element` shares one `Fraction` between the entries of one
     value."""
     rational = _rational_writer()
@@ -234,14 +194,17 @@ def _tensor_json(x: SparseTensor) -> dict:
     entries = [
         template % (*index, rational(coeff)) for index, coeff in sorted(x.entries.items())
     ]
-    return {"dim": x.dim, "order": x.order, "entries": _Written(_json_list(entries, "\n  "))}
+    return '{\n  "dim": %d,\n  "order": %d,\n  "entries": %s\n}' % (
+        x.dim, x.order, _json_list(entries, "\n  ")
+    )
 
 
-def _verdict_json(verdict: EqualityVerdict) -> dict:
-    """The verdict's payload (`verdict_json` in the tests) with its failures
-    and witnesses written already, each by one template.  A column's
-    text is written once per call, and so is a rational's
-    (`_rational_writer`); the verdict keeps every rational alive.
+def _verdict_text(verdict: EqualityVerdict) -> str:
+    """`json.dumps` of the verdict's payload (`verdict_json` in the tests),
+    indent 2, from one template, with each failure and witness written by
+    one template of its own.  A column's text is written once per call,
+    and so is a rational's (`_rational_writer`); the verdict keeps every
+    rational alive.
     """
     column = functools.cache(lambda c: _json_list(map(str, c), "\n        "))
     rational = _rational_writer()
@@ -274,17 +237,17 @@ def _verdict_json(verdict: EqualityVerdict) -> dict:
         + ',\n      "product": "1"\n    }'  # what makes it a witness
         for w in verdict.witnesses
     ]
-    return {
-        "equal": verdict.equal,
-        "mode": verdict.mode,
-        "failures": _Written(_json_list(failures, "\n  ")),
-        "witnesses": _Written(_json_list(witnesses, "\n  ")),
-    }
+    return '{\n  "equal": %s,\n  "mode": %s,\n  "failures": %s,\n  "witnesses": %s\n}' % (
+        "true" if verdict.equal else "false",
+        _encode_str(verdict.mode),
+        _json_list(failures, "\n  "),
+        _json_list(witnesses, "\n  "),
+    )
 
 
-def _formatted(to_json, result) -> dict:
+def _formatted(to_text, result) -> str:
     try:
-        return to_json(result)
+        return to_text(result)
     except ValueError as exc:  # a numeral past Python's int-to-str digit limit
         limit = sys.get_int_max_str_digits()
         raise SizeLimitError(f"a numeral of the result has over {limit} digits") from exc
@@ -305,13 +268,8 @@ def cmd_gamas(args) -> int:
         )
         return EXIT_SELFCHECK_FAILED
     _emit(
-        {
-            "nonzero": nonzero,
-            "witness_system": _system_json(system) if system is not None else None,
-            "standard_witness": (
-                [list(r) for r in tableau] if tableau is not None else None
-            ),
-        },
+        '{\n  "nonzero": %s,\n  "witness_system": %s,\n  "standard_witness": %s\n}'
+        % ("true" if nonzero else "false", _columns_json(system), _columns_json(tableau)),
         args.output,
     )
     return EXIT_OK
@@ -323,7 +281,7 @@ def cmd_equal(args) -> int:
     lam, fv, fu = load_instance(args.input, require_u=True)
     check_limit(sum(lam), args.max_n)
     verdict = decide_equality(fv, fu, lam, args.exhaustive_failures)
-    _emit(_formatted(_verdict_json, verdict), args.output)
+    _emit(_formatted(_verdict_text, verdict), args.output)
     return EXIT_OK
 
 
@@ -337,10 +295,11 @@ def cmd_symmetrize(args) -> int:
     _check_table_degree(sum(lam))
     result = project(decomposable(fv), lam)
     if args.shape_only:
-        obj = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
+        shape = {"dim": result.dim, "order": result.order, "entry_count": len(result.entries)}
+        text = json.dumps(shape, indent=2)
     else:
-        obj = _formatted(_tensor_json, result)
-    _emit(obj, args.output)
+        text = _formatted(_tensor_text, result)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -350,17 +309,8 @@ def cmd_characters(args) -> int:
     if args.n < 0:
         raise InputError("--n must be at least 0")
     check_limit(args.n, args.max_n)
-    table = character_table(args.n)
-    _emit(
-        {
-            "n": table.n,
-            "partitions": [list(p) for p in table.partitions],
-            "classes": [list(c) for c in table.classes],
-            "class_sizes": list(table.class_sizes),
-            "values": [list(row) for row in table.values],
-        },
-        args.output,
-    )
+    # the table's fields are the payload's keys, in order
+    _emit(json.dumps(character_table(args.n)._asdict(), indent=2), args.output)
     return EXIT_OK
 
 
@@ -385,16 +335,8 @@ def cmd_selfcheck(args) -> int:
         passed = checks is not None
         results.append({"name": name, "pass": passed, "checks": checks if passed else 0})
     ok = all(r["pass"] for r in results)
-    _emit(
-        {
-            "n": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "properties": results,
-            "ok": ok,
-        },
-        args.output,
-    )
+    payload = {"n": args.n, "trials": args.trials, "seed": args.seed, "properties": results, "ok": ok}
+    _emit(json.dumps(payload, indent=2), args.output)
     return EXIT_OK if ok else EXIT_SELFCHECK_FAILED
 
 

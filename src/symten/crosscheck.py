@@ -51,12 +51,14 @@ checked on its own, against the Gram forms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from operator import getitem, mul
 
 from .combinatorics import (
     Part,
+    Perm,
     Rows,
     column_system_of,
     compose,
@@ -116,13 +118,20 @@ def _standard_witness(family: VectorFamily, lam: Part, rows: Rows) -> bool:
     )
 
 
+def _draw_permutation(rng: random.Random, n: int) -> Perm:
+    """`rng.choice(list(enumerate_permutations(n)))` with no list of n!:
+    `choice` draws the same index from a range as from a list, and the
+    walk in lexicographic order unranks it."""
+    index = rng.choice(range(math.factorial(n)))
+    return next(itertools.islice(enumerate_permutations(n), index, None))
+
+
 def properties(n: int, trials: int, rng: random.Random):
     """The named properties at degree n as [(name, fn)], all drawing from
     the one rng; each trial draws its tensor dimension from DIMS, and each
     fn returns its number of checks, or None at the first failing trial."""
     partitions, _ = _class_table(n)
     weights = [_class_weights(lam, partitions) for lam in partitions]
-    perms = list(enumerate_permutations(n))
 
     def forms(fv: VectorFamily, fu: VectorFamily) -> list[int]:
         """sum_k chi_k S_k for each shape, in partitions' order: n!/f^lam
@@ -136,7 +145,7 @@ def properties(n: int, trials: int, rng: random.Random):
     def right_action_law(trial: int) -> bool:
         fam = adversarial_family()
         x = tensor_add(decomposable(fam), decomposable(random_family(rng, n, fam.dim)))
-        s, t = rng.choice(perms), rng.choice(perms)
+        s, t = _draw_permutation(rng, n), _draw_permutation(rng, n)
         return tensor_equal(act(act(x, s), t), act(x, compose(s, t)))
 
     def projector_idempotent_and_complete(trial: int) -> bool:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -587,45 +589,6 @@ def test_load_instance_parses_or_raises_input_error(tmp_path_factory, doc):
     assert len(fv) == sum(lam)
 
 
-# every kind the writer takes, with the strings and ints json.dumps escapes
-# or spells out in full
-writer_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.text()
-    | st.text(st.characters(max_codepoint=0x7F))
-    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\n\t\r"])
-)
-writer_values = st.recursive(
-    writer_leaves,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(writer_values)
-@example({"a\u00e9\"\\": ["\x07", "\u2028", -(10**40)], "": {}, "e": [[], {}, [[]], [{}]]})
-@example([1, True, 0, False, None, -1])
-@example([[1, 2], ["x", "y"], [True, 2], [2, True], ["a", 1]])
-@example({})
-@example([])
-def test_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [1.5, {"a": [1.0]}, (1, 2), [1, (2,)], {1: "a"}, {"a": {None: 1}}, float("nan")],
-    ids=["float", "nested-float", "tuple", "nested-tuple", "int-key", "none-key", "nan"],
-)
-def test_writer_refuses_what_json_dumps_would_convert(obj):
-    with pytest.raises(TypeError):
-        cli._json_text(obj)
-
-
 def _writes_as_json_dumps(out: str) -> bool:
     return out == json.dumps(json.loads(out), indent=2) + "\n"
 
@@ -676,7 +639,7 @@ def _tensors(draw):
 @example(SparseTensor(12, 2))
 @example(SparseTensor(12, 3, {(10, 1, 12): Fraction(5), (2, 11, 3): Fraction(-1, 10)}))
 def test_tensor_template_writes_as_json_dumps(x):
-    assert cli._json_text(cli._tensor_json(x)) == json.dumps(to_json_obj(x), indent=2)
+    assert cli._tensor_text(x) == json.dumps(to_json_obj(x), indent=2)
 
 
 _columns = st.lists(st.integers(1, 12), max_size=3).map(tuple)
@@ -714,7 +677,7 @@ def _verdicts(draw):
 @example(EqualityVerdict(True, "both_vanish", (), ()))
 @example(EqualityVerdict(True, "witnessed", (), (SystemWitness((), (), ()),)))
 def test_verdict_template_writes_as_json_dumps(verdict):
-    assert cli._json_text(cli._verdict_json(verdict)) == json.dumps(verdict_json(verdict), indent=2)
+    assert cli._verdict_text(verdict) == json.dumps(verdict_json(verdict), indent=2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -735,4 +698,45 @@ def test_equal_verdicts_write_as_json_dumps(lam, seed, kind, exhaustive):
     else:
         fu = scaled_family(rng, fv, unit_product=kind == "unit_product")
     verdict = decide_equality(fv, fu, lam, exhaustive)
-    assert cli._json_text(cli._verdict_json(verdict)) == json.dumps(verdict_json(verdict), indent=2)
+    assert cli._verdict_text(verdict) == json.dumps(verdict_json(verdict), indent=2)
+
+
+def _stdout_of(argv) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
+    st.sampled_from((1, 2, 3)),
+    st.integers(0, 2**32),
+)
+@example((), 2, 0)
+@example((1, 1), 1, 0)  # taller than the dimension: both witnesses null
+@example((3, 2, 1), 3, 1)
+def test_gamas_writes_as_json_dumps(tmp_path_factory, lam, dim, seed):
+    fv = random_family(random.Random(seed), sum(lam), dim, adversarial=True)
+    path = tmp_path_factory.mktemp("gamas") / "inst.json"
+    path.write_text(json.dumps({
+        "dim": dim,
+        "lambda": list(lam),
+        "v": [[format_rational(x) for x in v] for v in fv.vectors],
+    }))
+    nonzero, system = decision.gamas_nonvanishing(fv, lam)
+    _, tableau = decision.gamas_standard(fv, lam)
+    payload = {
+        "nonzero": nonzero,
+        "witness_system": None if system is None else [list(c) for c in system],
+        "standard_witness": None if tableau is None else [list(r) for r in tableau],
+    }
+    assert _stdout_of(["gamas", "--input", str(path)]) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", [name for c, name in GOLDEN_CASES if c == ("symmetrize",)])
+def test_symmetrize_shape_only_writes_as_json_dumps(name):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    payload = {"dim": golden["dim"], "order": golden["order"], "entry_count": len(golden["entries"])}
+    out = _stdout_of(["symmetrize", "--shape-only", "--input", str(DATA / f"{name}.json")])
+    assert out == json.dumps(payload, indent=2) + "\n"

@@ -13,6 +13,7 @@ from symten.combinatorics import (
     compose,
     enumerate_column_systems,
     enumerate_partitions,
+    enumerate_permutations,
 )
 from symten.crosscheck import _class_sums
 from symten.decision import (
@@ -586,6 +587,18 @@ def test_crosscheck_zero_trials_check_nothing_and_draw_nothing():
     state = rng.getstate()
     assert [prop() for _, prop in crosscheck.properties(3, 0, rng)] == [0, 0, 0, 0]
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_draw_is_rng_choice_of_the_list(n):
+    """`right_action_law` draws each permutation as `rng.choice` of the
+    list of S_n would, from the same rng state, on this Python version."""
+    perms = list(enumerate_permutations(n))
+    for seed in range(5):
+        drawn, chosen = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert crosscheck._draw_permutation(drawn, n) == chosen.choice(perms)
+        assert drawn.getstate() == chosen.getstate()
 
 
 @pytest.mark.parametrize(
