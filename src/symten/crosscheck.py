@@ -29,6 +29,9 @@ checked on its own, against the Gram forms.
 
 - right_action_law: (x.s).t = x.(st) for the place-permutation action;
   one check per trial, where the others make one per shape of n.
+  `tensor.act` applies sigma through `apply_element`, so the law checks
+  the kernel's walked path and its convention, which the projectors, as
+  class sums, cannot tell from sigma^-1.
 - projector_idempotent_and_complete: each component project(x, lam)
   is fixed by project(., lam), its squared norm is its Gram form, and
   the components sum to x.  The norms check the projection path, the
@@ -36,9 +39,10 @@ checked on its own, against the Gram forms.
   orthogonality of the character table.
 - gamas_matches_oracle: Gamas' theorem (Linear Algebra Appl. 108, 1988).
   The column-system scan, the standard-tableau scan and the Gram form
-  agree on vanishing, a witness system has independent columns, and a
-  witness tableau is a standard tableau of the shape with independent
-  columns.
+  agree on vanishing, a witness system is a canonical column system of
+  the shape (its columns partition 1..n, their lengths those of the
+  conjugate) with independent columns, and a witness tableau is a
+  standard tableau of the shape with independent columns.
 - equality_matches_oracle: the da Cruz-Dias da Silva column-system
   conditions agree with the Gram form of the difference of the two
   families' tensors.  Trials cycle through four kinds of u: unrelated to
@@ -60,8 +64,10 @@ from .combinatorics import (
     Part,
     Perm,
     Rows,
+    canonical_system,
     column_system_of,
     compose,
+    conjugate,
     enumerate_permutations,
     is_filling,
     tableau_shape,
@@ -171,7 +177,12 @@ def properties(n: int, trials: int, rng: random.Random):
             standard, tableau = gamas_standard(fam, lam)
             if nonzero != (form != 0) or standard != nonzero:
                 return False
-            if witness is not None and not columns_independent(fam, witness):
+            if witness is not None and not (
+                witness == canonical_system(witness)
+                and tuple(map(len, witness)) == conjugate(lam)
+                and is_filling(witness)  # the columns partition 1..n
+                and columns_independent(fam, witness)
+            ):
                 return False
             if tableau is not None and not _standard_witness(fam, lam, tableau):
                 return False

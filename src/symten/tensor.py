@@ -1,12 +1,13 @@
 """Sparse rational tensors and the right place-permutation action.
 
-Decomposable tensors, the symmetric-group action permuting tensor
-slots, application of group-algebra elements, and `project`, the one
-path that projects a tensor: it leaves out the entries whose weight the
-shape does not dominate (Young's rule) and applies the isotypic
-projector to the rest.  `symmetrize` runs it, and `selfcheck` checks it
-against the Gram forms.  Entries map n-tuples of 1-based basis indices
-to nonzero rationals; equality of tensors is equality of entry maps.
+Decomposable tensors, application of group-algebra elements, the slot
+action `act`, which is `apply_element` of one permutation (its images fit
+a byte, as in every run), so `selfcheck`'s action law checks the kernel,
+and `project`, the one path that projects a tensor: the entries whose
+weight the shape dominates (Young's rule), then the isotypic projector.
+`symmetrize` runs it, and `selfcheck` checks it against the Gram forms.
+Entries map n-tuples of 1-based basis indices to nonzero rationals;
+equality of tensors is equality of entry maps.
 """
 from __future__ import annotations
 
@@ -84,13 +85,7 @@ def decomposable(family: VectorFamily) -> SparseTensor:
 
 def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
     """Right place-permutation action: slot i of the result is slot sigma(i)."""
-    if len(sigma) != x.order:
-        raise ValueError(f"degree mismatch: {len(sigma)} != order {x.order}")
-    entries = {
-        tuple(index[s - 1] for s in sigma): coeff
-        for index, coeff in x.entries.items()
-    }
-    return SparseTensor._nonzero(x.dim, x.order, entries)
+    return apply_element(x, GroupAlgebraElement(len(sigma), ((bytes((*sigma, 0)), Fraction(1)),)))
 
 
 def _permuted_sums(

@@ -29,7 +29,7 @@ from symten.decision import (
     gamas_nonvanishing,
     gamas_standard,
 )
-from symten.group_algebra import _class_table, _class_weights, isotypic_projector
+from symten.group_algebra import _class_table, _class_weights, _members, isotypic_projector
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
 from symten.tensor import apply_element, decomposable, project, tensor_equal
@@ -459,6 +459,21 @@ def _reversed_rows(fam, lam):
     return standard, rows and tuple(row[::-1] for row in rows)
 
 
+def _first_column_split(fam, lam):
+    """The right column-system verdict with the first column of its
+    witness split into one column per entry: independent columns, but not
+    a column system of the shape."""
+    nonzero, system = gamas_nonvanishing(fam, lam)
+    return nonzero, system and tuple((i,) for i in system[0]) + system[1:]
+
+
+def _inverse_members(flat, n):
+    """A run's permutations, each as its inverse: the walked path acting
+    by sigma^-1, which no class sum can tell from sigma."""
+    for sigma in _members(flat, n):
+        yield tuple(sorted(range(1, n + 1), key=lambda i: sigma[i - 1]))
+
+
 def _class_table_without_last_shape(n):
     """The class table with the identity's shape, listed last, left off."""
     shapes, classes = _class_table(n)
@@ -498,12 +513,14 @@ def _project_dropping_its_own_weight(x, lam):
         ("equality_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape),
         ("projector_idempotent_and_complete", crosscheck, "project",
          _project_dropping_its_own_weight),
+        ("gamas_matches_oracle", crosscheck, "gamas_nonvanishing", _first_column_split),
+        ("right_action_law", tensor, "_members", _inverse_members),
     ],
     ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
          "witness", "equality",
          "sweep-class-idempotent", "sweep-shape-idempotent", "sweep-class-gamas",
          "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality",
-         "pruned-own-weight"],
+         "pruned-own-weight", "witness-shape", "kernel-convention"],
 )
 def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, module, target, broken):
     monkeypatch.setattr(module, target, broken)

@@ -3,6 +3,7 @@ with the reason it stays; one that only the tests call belongs in
 `tests/reference.py`.  The commands run in a fresh interpreter, so that
 no per-process cache (`_class_table`, `mn_character`) hides a call."""
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from symten import cli
 from tests.test_cli import DATA, GOLDEN_COMMANDS
 
 PACKAGE = Path(cli.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # what no command reaches, by module-qualified name, with why it stays
 UNREACHED = {
@@ -96,3 +98,46 @@ def test_every_function_is_reached_by_a_command_or_allowed():
     reached = {(str(Path(f).resolve()), line) for f, line in traced["reached"]}
     unreached = {name for key, name in _functions().items() if key not in reached}
     assert unreached == set(UNREACHED)
+
+
+def _perfbench_names():
+    """(traced, imported): the "layer.function" names that the benchmark's
+    worker reads through `calls`, `seconds` and `tracer.stat`, with the
+    keys of its tracer's `_BEFORE` and `_AFTER`; and the (module, name)
+    pairs that `record.py` imports from `symten`."""
+    traced = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "worker.py").read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in ("calls", "seconds")
+                 or getattr(node.func, "attr", None) == "stat")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            traced.add(node.args[0].value)
+    for node in ast.parse((PERFBENCH / "tracing.py").read_text()).body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if getattr(target, "id", None) in ("_BEFORE", "_AFTER"):
+            traced |= {key.value for key in node.value.keys}
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse((PERFBENCH / "record.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("symten")
+        for alias in node.names
+    }
+    return traced, imported
+
+
+def test_the_names_the_benchmark_looks_up_exist():
+    """The tracer wraps only the public functions a module defines, and a
+    name it cannot find fails the benchmark's smoke test."""
+    traced, imported = _perfbench_names()
+    assert len(traced) == 17 and len(imported) == 7
+    for name in traced:
+        layer, _, function = name.partition(".")
+        module = importlib.import_module(f"symten.{layer}")
+        fn = getattr(module, function, None)
+        assert not function.startswith("_") and callable(fn) and not isinstance(fn, type), name
+        assert getattr(fn, "__module__", None) == module.__name__, name
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
