@@ -45,10 +45,13 @@ checked on its own, against the Gram forms.
   standard tableau of the shape with independent columns.
 - equality_matches_oracle: the da Cruz-Dias da Silva column-system
   conditions agree with the Gram form of the difference of the two
-  families' tensors.  Trials cycle through four kinds of u: unrelated to
-  v, a rescaling of v with product 1, one with another product, and g.v
-  for a g of determinant 1 (`shifted_family`), whose components are
-  equal for the shapes (k^dim) without u being a rescaling of v.
+  families' tensors, and each witness, of a failed verdict too, matches
+  the columns with product 1 and `linalg.transition_scalar`s as scalars,
+  so between equal spans.  Trials cycle through four kinds of u:
+  unrelated to v, a rescaling of v with product 1, one with another
+  product, and g.v for a g of determinant 1 (`shifted_family`), whose
+  components are equal for the shapes (k^dim) without u being a
+  rescaling of v.
 
 `selfcheck` runs every property once, and the tests call the same ones.
 """
@@ -73,13 +76,14 @@ from .combinatorics import (
     tableau_shape,
 )
 from .decision import (
+    SystemWitness,
     columns_independent,
     decide_equality,
     gamas_nonvanishing,
     gamas_standard,
 )
 from .group_algebra import _class_table, _class_weights, _members
-from .linalg import VectorFamily, _scaled
+from .linalg import VectorFamily, _scaled, transition_scalar
 from .sampling import random_family, scaled_family, shifted_family
 from .tensor import act, decomposable, project, tensor_add, tensor_equal
 
@@ -121,6 +125,19 @@ def _standard_witness(family: VectorFamily, lam: Part, rows: Rows) -> bool:
         and all(a < b for row in rows for a, b in zip(row, row[1:]))
         and all(a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
         and columns_independent(family, column_system_of(rows))
+    )
+
+
+def _matching_witness(fv: VectorFamily, fu: VectorFamily, w: SystemWitness) -> bool:
+    """Whether w.sigma permutes w.system's columns and w.scalars, of product
+    1, are the transition scalars of the matched columns (None: unequal spans)."""
+    return (
+        sorted(w.sigma) == list(range(1, len(w.system) + 1))
+        and math.prod(w.scalars) == 1
+        and w.scalars == tuple(
+            transition_scalar(fv, column, fu, w.system[t - 1])
+            for column, t in zip(w.system, w.sigma)
+        )
     )
 
 
@@ -205,9 +222,11 @@ def properties(n: int, trials: int, rng: random.Random):
             s_u * s_u * vv - 2 * s_v * s_u * vu + s_v * s_v * uu
             for vv, vu, uu in zip(forms(fv, fv), forms(fv, fu), forms(fu, fu))
         ]
+        verdicts = (decide_equality(fv, fu, lam) for lam in partitions)
         return all(
-            decide_equality(fv, fu, lam).equal == (distance == 0)
-            for lam, distance in zip(partitions, distances)
+            verdict.equal == (distance == 0)
+            and all(_matching_witness(fv, fu, w) for w in verdict.witnesses)
+            for verdict, distance in zip(verdicts, distances)
         )
 
     def run(check, checks_per_trial: int) -> int | None:

@@ -1,11 +1,11 @@
 """Sparse rational tensors and the right place-permutation action.
 
-Decomposable tensors, application of group-algebra elements, the slot
-action `act`, which is `apply_element` of one permutation (its images fit
-a byte, as in every run), so `selfcheck`'s action law checks the kernel,
-and `project`, the one path that projects a tensor: the entries whose
-weight the shape dominates (Young's rule), then the isotypic projector.
-`symmetrize` runs it, and `selfcheck` checks it against the Gram forms.
+Decomposable tensors; `apply_element`, the one kernel, which applies a
+group-algebra element run by run; the slot action `act`, `apply_element`
+of one permutation (its images fit a byte, as in every run), so
+`selfcheck`'s action law checks the kernel; and `project`, the one
+projection path, which `symmetrize` runs and `selfcheck` checks against
+the Gram forms: Young's rule's pruning, then the isotypic projector.
 Entries map n-tuples of 1-based basis indices to nonzero rationals;
 equality of tensors is equality of entry maps.
 """
@@ -16,7 +16,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import ge, itemgetter
-from typing import Iterable
 
 from .combinatorics import Part, Perm
 from .group_algebra import (
@@ -88,17 +87,17 @@ def act(x: SparseTensor, sigma: Perm) -> SparseTensor:
     return apply_element(x, GroupAlgebraElement(len(sigma), ((bytes((*sigma, 0)), Fraction(1)),)))
 
 
-def _permuted_sums(
-    x: SparseTensor, runs: Iterable[tuple[bytes, int]]
-) -> tuple[dict[Index, int], int]:
-    """(sums, d): the sum over the runs (flat, w) of w times x acted on
-    by each sigma of the run, as integer numerators over d.
+def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
+    """Apply a group-algebra element: the sum over g's runs (flat, w) of w
+    times x acted on by each sigma of the run.
 
-    flat holds the run's permutations as `group_algebra` lays them out:
-    n one-line images and a 0 byte each.
-    `linalg._scaled` puts x's entries over one denominator d, so w times
-    an entry is one `int` product per run.  Each run takes one of two
-    paths:
+    The runs are read as stored, n one-line images and a 0 byte per sigma
+    (a projector's are its classes, one run per character value).  Exact,
+    on integers: `linalg._scaled` puts the weights and the entries over
+    one denominator each, so w times an entry is one `int` product per
+    run, and each distinct nonzero sum becomes one `Fraction` at the end,
+    shared by every entry with that sum; the result equals the `Fraction`
+    sum.  Each run takes one of two paths:
 
     - counted, when n >= 2, every index of x is below 256 and the
       run has at least three permutations per entry of x: the byte table
@@ -117,6 +116,9 @@ def _permuted_sums(
       byte): one `itemgetter` per sigma moves every entry, which is
       cheaper there.
     """
+    if g.degree != x.order:
+        raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
+    weights, d_g = _scaled([w for _, w in g.runs])
     coeffs, d_x = _scaled(x.entries.values())
     n = x.order
     # a leading pad lets sigma's one-based images pick the slots directly
@@ -129,7 +131,7 @@ def _permuted_sums(
     sums: dict[Index, int] = {}
     words: dict[bytes, int] = {}  # the counted runs' sums, by image word
     get, get_word = sums.get, words.get
-    for flat, w in runs:
+    for (flat, _), w in zip(g.runs, weights):
         terms = [w * c for c in coeffs]
         if countable and len(flat) >= 3 * (n + 1) * len(padded):
             for entry, t in zip(padded, terms):
@@ -147,31 +149,9 @@ def _permuted_sums(
                 sums[word] = get(word, 0) + t
     for index, v in zip(map(tuple, words), words.values()):
         sums[index] = get(index, 0) + v
-    return sums, d_x
-
-
-def apply_element(x: SparseTensor, g: GroupAlgebraElement) -> SparseTensor:
-    """Apply a group-algebra element: the weighted sum of permuted copies.
-
-    Exact, on integers: `linalg._scaled` scales the weights and the entries
-    to integers over one denominator each, so the sums are `int`
-    arithmetic, and each distinct nonzero sum is divided by the product of
-    the two denominators once, at the end, into one `Fraction` that every
-    entry with that sum shares.  The result equals the `Fraction` sum.
-    g's runs go to the kernel as they are stored, each with its one
-    scaled weight: a projector's are its classes, one run per character
-    value, as `_class_table` holds them, so a long run is counted in C,
-    per distinct image of each entry (see `_permuted_sums`).
-    """
-    if g.degree != x.order:
-        raise ValueError(f"degree mismatch: {g.degree} != order {x.order}")
-    scaled, d_g = _scaled([w for _, w in g.runs])
-    sums, d_x = _permuted_sums(x, zip([flat for flat, _ in g.runs], scaled))
     d = d_g * d_x
     shared = {v: Fraction(v, d) for v in set(sums.values()) if v}
-    return SparseTensor._nonzero(
-        x.dim, x.order, {i: shared[v] for i, v in sums.items() if v}
-    )
+    return SparseTensor._nonzero(x.dim, x.order, {i: shared[v] for i, v in sums.items() if v})
 
 
 def project(x: SparseTensor, lam: Part) -> SparseTensor:

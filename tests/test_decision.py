@@ -474,6 +474,16 @@ def _inverse_members(flat, n):
         yield tuple(sorted(range(1, n + 1), key=lambda i: sigma[i - 1]))
 
 
+def _identity_matching_reversed_scalars(system, pairs, ratios):
+    """The right matching verdict with its witness reporting the identity
+    sigma and its scalars in reverse order: their product is still 1, but
+    they are not the transition scalars of the matched columns."""
+    witness, failure = _search_matching(system, pairs, ratios)
+    return witness and witness._replace(
+        sigma=tuple(range(1, len(system) + 1)), scalars=witness.scalars[::-1]
+    ), failure
+
+
 def _class_table_without_last_shape(n):
     """The class table with the identity's shape, listed last, left off."""
     shapes, classes = _class_table(n)
@@ -515,12 +525,14 @@ def _project_dropping_its_own_weight(x, lam):
          _project_dropping_its_own_weight),
         ("gamas_matches_oracle", crosscheck, "gamas_nonvanishing", _first_column_split),
         ("right_action_law", tensor, "_members", _inverse_members),
+        ("equality_matches_oracle", decision, "_search_matching",
+         _identity_matching_reversed_scalars),
     ],
     ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
          "witness", "equality",
          "sweep-class-idempotent", "sweep-shape-idempotent", "sweep-class-gamas",
          "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality",
-         "pruned-own-weight", "witness-shape", "kernel-convention"],
+         "pruned-own-weight", "witness-shape", "kernel-convention", "witness-matching"],
 )
 def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, module, target, broken):
     monkeypatch.setattr(module, target, broken)

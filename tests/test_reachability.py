@@ -20,7 +20,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 UNREACHED = {
     "linalg.rank": "perfbench traces it by name",
     "linalg.span_equal": "perfbench traces it by name",
-    "linalg.transition_scalar": "perfbench traces it by name",
     "combinatorics.enumerate_standard": "perfbench traces it by name",
     "combinatorics.enumerate_column_systems": "perfbench traces it by name",
     "tensor.is_zero": "perfbench/record.py imports it",
