@@ -30,9 +30,7 @@ def _border_strip_removals(lam: Part, length: int) -> list[tuple[Part, int]]:
         b = beta[i] - length
         if b < 0 or b in beta_set:
             continue
-        new_beta = sorted((beta[j] for j in range(k) if j != i), reverse=True)
-        new_beta.append(b)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([*beta[:i], b, *beta[i + 1:]], reverse=True)
         mu = tuple(nb - (k - 1 - pos) for pos, nb in enumerate(new_beta))
         mu = tuple(p for p in mu if p > 0)
         height = sum(1 for other in beta if b < other < beta[i])

@@ -121,9 +121,6 @@ def load_instance(path: str, require_u: bool = False):
     return lam, fv, fu
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 def _json_list(items: Iterable[str], newline: str) -> str:
     """The JSON list of items, each JSON text written for one level below
     newline, the line break and indentation of the list's own level."""
@@ -166,8 +163,8 @@ def _rational_writer() -> Callable[[Fraction], str]:
     `id` first, because hashing a `Fraction` costs more than formatting
     it, and by value once per object, so that each value is formatted
     once.  The payload must keep every rational it writes alive while the
-    writer is in use, so that no id is reused."""
-    formatted = functools.cache(lambda q: _encode_str(format_rational(q)))
+    writer is in use, so that no id is reused.  A numeral needs no escape."""
+    formatted = functools.cache(lambda q: '"%s"' % format_rational(q))
     by_id: dict[int, str] = {}
 
     def rational(q: Fraction) -> str:
@@ -187,10 +184,8 @@ def _tensor_text(x: SparseTensor) -> str:
     `apply_element` shares one `Fraction` between the entries of one
     value."""
     rational = _rational_writer()
-    slots = ",\n        ".join(["%d"] * x.order)
-    if x.order:
-        slots = "\n        " + slots + "\n      "
-    template = '{\n      "index": [' + slots + '],\n      "coeff": %s\n    }'
+    slots = _json_list(["%d"] * x.order, "\n      ")
+    template = '{\n      "index": ' + slots + ',\n      "coeff": %s\n    }'
     entries = [
         template % (*index, rational(coeff)) for index, coeff in sorted(x.entries.items())
     ]
@@ -204,8 +199,8 @@ def _verdict_text(verdict: EqualityVerdict) -> str:
     indent 2, from one template, with each failure and witness written by
     one template of its own.  A column's text is written once per call,
     and so is a rational's (`_rational_writer`); the verdict keeps every
-    rational alive.
-    """
+    rational alive.  The mode and the reasons are `decision`'s ASCII
+    constants, quoted in the templates with nothing to escape."""
     column = functools.cache(lambda c: _json_list(map(str, c), "\n        "))
     rational = _rational_writer()
 
@@ -217,8 +212,7 @@ def _verdict_text(verdict: EqualityVerdict) -> str:
 
     failures = [
         head(f.system)
-        + ',\n      "reason": '
-        + _encode_str(f.reason)
+        + ',\n      "reason": "%s"' % f.reason
         + (
             ""
             if f.scalars is None
@@ -237,9 +231,9 @@ def _verdict_text(verdict: EqualityVerdict) -> str:
         + ',\n      "product": "1"\n    }'  # what makes it a witness
         for w in verdict.witnesses
     ]
-    return '{\n  "equal": %s,\n  "mode": %s,\n  "failures": %s,\n  "witnesses": %s\n}' % (
+    return '{\n  "equal": %s,\n  "mode": "%s",\n  "failures": %s,\n  "witnesses": %s\n}' % (
         "true" if verdict.equal else "false",
-        _encode_str(verdict.mode),
+        verdict.mode,
         _json_list(failures, "\n  "),
         _json_list(witnesses, "\n  "),
     )

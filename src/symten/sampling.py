@@ -1,6 +1,7 @@
 """Seeded random instance generation for self-checks and test suites."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,9 +50,7 @@ def scaled_family(
     scalars = [
         Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2))) for _ in range(n)
     ]
-    product = Fraction(1)
-    for s in scalars:
-        product *= s
+    product = math.prod(scalars)
     if unit_product:
         scalars[-1] /= product
     elif product == 1:

@@ -715,3 +715,65 @@ def test_shifted_family_is_a_change_of_coordinates_of_determinant_one():
         )
         assert det == 1
         assert dim == 1 or all(g[i][i] == 0 for i in range(dim))
+
+
+#: Every family of two vectors of Q^2 with entries in {-1, 0, 1}: 81.
+TINY_FAMILIES = [
+    VectorFamily(2, pair)
+    for pair in itertools.product(itertools.product((F(-1), F(0), F(1)), repeat=2), repeat=2)
+]
+
+
+def _tiny_sweep() -> Counter:
+    """Every tiny family for both shapes of 2 against the projection
+    oracle, with no seed to be lucky with: both Gamas deciders against
+    whether the projection is nonzero, and for each ordered pair of
+    families the equality verdict against whether the projections are
+    equal, each witness, of failed verdicts too, checked by
+    `crosscheck._matching_witness`.  Counts the checks, the checks that
+    failed, the witnesses rejected and the witnesses whose sigma is not the
+    identity."""
+    counts = Counter()
+    for lam in ((2,), (1, 1)):
+        oracle = [(f, project(decomposable(f), lam)) for f in TINY_FAMILIES]
+        for f, x in oracle:
+            nonzero = not tensor.is_zero(x)
+            counts["checks"] += 1
+            counts["failed"] += not (
+                gamas_nonvanishing(f, lam)[0] == gamas_standard(f, lam)[0] == nonzero
+            )
+        for (fv, x), (fu, y) in itertools.product(oracle, repeat=2):
+            verdict = decide_equality(fv, fu, lam)
+            rejected = sum(
+                not crosscheck._matching_witness(fv, fu, w) for w in verdict.witnesses
+            )
+            counts["checks"] += 1
+            counts["failed"] += verdict.equal != tensor_equal(x, y) or rejected > 0
+            counts["rejected"] += rejected
+            counts["moved"] += sum(
+                w.sigma != tuple(range(1, len(w.sigma) + 1)) for w in verdict.witnesses
+            )
+    return counts
+
+
+def test_every_tiny_instance_agrees_with_the_oracle():
+    counts = _tiny_sweep()
+    assert counts["checks"] == 81 * 2 + 81 * 81 * 2
+    assert counts["failed"] == counts["rejected"] == 0
+    # witnesses that match the columns other than in order: no selfcheck draw has one
+    assert counts["moved"] == 96
+
+
+def test_tiny_sweep_rejects_a_witness_reported_with_the_identity_sigma(monkeypatch):
+    search = decision._search_matching
+
+    def identity_sigma(system, pairs, ratios):
+        witness, failure = search(system, pairs, ratios)
+        if witness is not None:
+            witness = witness._replace(sigma=tuple(range(1, len(system) + 1)))
+        return witness, failure
+
+    monkeypatch.setattr(decision, "_search_matching", identity_sigma)
+    counts = _tiny_sweep()
+    assert counts["moved"] == 0
+    assert counts["rejected"] == counts["failed"] == 96

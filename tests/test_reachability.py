@@ -1,7 +1,8 @@
 """Every function in `symten` runs in some command, or is listed below
 with the reason it stays; one that only the tests call belongs in
 `tests/reference.py`.  The commands run in a fresh interpreter, so that
-no per-process cache (`_class_table`, `mn_character`) hides a call."""
+no per-process cache (`_class_table`, `mn_character`) hides a call.
+No module of `symten` holds an `assert`, which `python -O` strips."""
 import ast
 import importlib
 import json
@@ -97,6 +98,16 @@ def test_every_function_is_reached_by_a_command_or_allowed():
     reached = {(str(Path(f).resolve()), line) for f, line in traced["reached"]}
     unreached = {name for key, name in _functions().items() if key not in reached}
     assert unreached == set(UNREACHED)
+
+
+def test_no_check_is_an_assert():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def _perfbench_names():
