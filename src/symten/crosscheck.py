@@ -51,7 +51,8 @@ checked on its own, against the Gram forms.
   unrelated to v, a rescaling of v with product 1, one with another
   product, and g.v for a g of determinant 1 (`shifted_family`), whose
   components are equal for the shapes (k^dim) without u being a
-  rescaling of v.
+  rescaling of v.  A unit-product trial also decides v against u rotated
+  by one place, drawing nothing, for witnesses whose sigma moves columns.
 
 `selfcheck` runs every property once, and the tests call the same ones.
 """
@@ -151,8 +152,8 @@ def _draw_permutation(rng: random.Random, n: int) -> Perm:
 
 def properties(n: int, trials: int, rng: random.Random):
     """The named properties at degree n as [(name, fn)], all drawing from
-    the one rng; each trial draws its tensor dimension from DIMS, and each
-    fn returns its number of checks, or None at the first failing trial."""
+    the one rng and each trial's tensor dimension from DIMS; each fn returns
+    its number of checks, u rotated left out, or None at the first failing trial."""
     partitions, _ = _class_table(n)
     weights = [_class_weights(lam, partitions) for lam in partitions]
 
@@ -216,6 +217,10 @@ def properties(n: int, trials: int, rng: random.Random):
         else:
             fv = adversarial_family()
             fu = scaled_family(rng, fv, unit_product=(kind == 1))
+        us = (fu, VectorFamily(fu.dim, fu.vectors[1:] + fu.vectors[:1])) if kind == 1 else (fu,)
+        return all(agrees(fv, u) for u in us)
+
+    def agrees(fv: VectorFamily, fu: VectorFamily) -> bool:
         s_v, s_u = _scale(fv), _scale(fu)
         # ||P x - P y||^2 times n!/f^lam s_v^2 s_u^2
         distances = [

@@ -7,11 +7,11 @@ reading order is fixed to increasing indices on both sides, so its sign
 contribution cancels.  The search builds systems (or standard tableaux)
 column by column and cuts every branch at a column that cannot occur in
 a system the decider would use: a dependent one for Gamas, one dependent
-on both sides for equality.  Each decider call computes the `span_key` of each
-column once per family, by one fraction-free integer elimination:
-independence is having a key, span equality is equality of the keys'
-primitive integer bases, and a greedy column matching within equal keys
-decides, with the ratios of the keys' rational minors as its scalars.
+on both sides for equality.  Each family memoizes each column's
+`span_key`, one fraction-free integer elimination, for every decider call
+on it: independence is having a key, span equality is equality of the
+keys' primitive integer bases, and a greedy column matching within equal
+keys decides, with the ratios of the keys' rational minors as its scalars.
 Each (v column, u column) ratio is computed once per call, and the
 product of a matching is decided on integers.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .combinatorics import ColumnSystem, Part, Rows, iter_column_systems, iter_standard
-from .linalg import SpanKey, VectorFamily, is_independent, span_key
+from .linalg import SpanKey, VectorFamily, is_independent
 
 INDEPENDENCE_MISMATCH = "independence_mismatch"
 NO_SPAN_MATCHING = "no_span_matching"
@@ -60,20 +60,6 @@ def columns_independent(family: VectorFamily, system: ColumnSystem) -> bool:
     return all(is_independent(family, column) for column in system)
 
 
-class _SpanKeys(dict):
-    """Column -> `span_key` for one family, each computed on first use."""
-
-    def __init__(self, family: VectorFamily):
-        self.family = family
-
-    def __missing__(self, column: tuple[int, ...]) -> Optional[SpanKey]:
-        key = self[column] = span_key(self.family, column)
-        return key
-
-    def has_key(self, column: tuple[int, ...]) -> bool:
-        return self[column] is not None
-
-
 def gamas_nonvanishing(family: VectorFamily, lam: Part) -> tuple[bool, Optional[ColumnSystem]]:
     """Whether the symmetrized tensor of the family is nonzero for shape lam.
 
@@ -83,7 +69,7 @@ def gamas_nonvanishing(family: VectorFamily, lam: Part) -> tuple[bool, Optional[
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
-    system = next(iter_column_systems(lam, _SpanKeys(family).has_key), None)
+    system = next(iter_column_systems(lam, family._span_keys.__getitem__), None)
     return system is not None, system
 
 
@@ -92,7 +78,7 @@ def gamas_standard(family: VectorFamily, lam: Part) -> tuple[bool, Optional[Rows
     lam = tuple(lam)
     if len(family) != sum(lam):
         raise ValueError(f"family size {len(family)} != {sum(lam)}")
-    rows = next(iter_standard(lam, _SpanKeys(family).has_key), None)
+    rows = next(iter_standard(lam, family._span_keys.__getitem__), None)
     return rows is not None, rows
 
 
@@ -161,12 +147,12 @@ def decide_equality(
 
     failures: list[SystemFailure] = []
     witnesses: list[SystemWitness] = []
-    v_keys, u_keys = _SpanKeys(fv), _SpanKeys(fu)
+    v_keys, u_keys = fv._span_keys, fu._span_keys
     ratios: dict[tuple, Fraction] = {}  # see _search_matching
 
     def keep(column: tuple[int, ...]) -> bool:
         # a column dependent on both sides only leads to skipped systems
-        return v_keys.has_key(column) or u_keys.has_key(column)
+        return v_keys[column] is not None or u_keys[column] is not None
 
     for system in iter_column_systems(lam, keep):
         pairs = [(v_keys[column], u_keys[column]) for column in system]

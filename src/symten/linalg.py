@@ -3,11 +3,13 @@
 Everything here is one fraction-free elimination, `_echelon`, on
 integers: each rational row is scaled by the lcm of its denominators
 first, and only a minor that `span_key` or `determinant` returns is a
-`fractions.Fraction`.  Entries are ints or Fractions and no floating
-point exists anywhere in the package, so every result is exact and
-bit-reproducible.  Selections of vectors are always read in increasing
-index order; the equality decider relies on that single convention for
-sign consistency of wedge products.
+`fractions.Fraction`.  A family memoizes each selection's `span_key`,
+which `is_independent`, `span_equal` and `transition_scalar` read.
+Entries are ints or Fractions and no floating point exists anywhere in
+the package, so every result is exact and bit-reproducible.  Selections
+of vectors are always read in increasing index order; the equality
+decider relies on that single convention for sign consistency of wedge
+products.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ class VectorFamily:
 
     Entries are non-bool ints or Fractions, stored as given; anything
     else raises TypeError.  Families are equal when their dims and
-    vectors are.
+    vectors are; the span keys a family has memoized play no part.
     """
 
-    __slots__ = ("dim", "vectors", "_scaled_rows")
+    __slots__ = ("dim", "vectors", "_scaled_rows", "_span_keys")
 
     def __init__(self, dim: int, vectors: Iterable[Sequence]):
         vecs = _exact(tuple(map(tuple, vectors)))
@@ -37,8 +39,10 @@ class VectorFamily:
                 raise ValueError(f"vector of length {len(v)} in dimension {dim}")
         self.dim = dim
         self.vectors: tuple[Vector, ...] = vecs
-        # each vector as `_scaled` gives it, for `span_key`
+        # each vector as `_scaled` gives it; the span-key memo holds these,
+        # not the family, so that the two form no reference cycle
         self._scaled_rows = tuple(map(_scaled, vecs))
+        self._span_keys = _SpanKeys(self._scaled_rows, dim)
 
     def __eq__(self, other) -> bool:
         if type(other) is not VectorFamily:
@@ -53,14 +57,6 @@ class VectorFamily:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def _positions(self, indices: Iterable[int]) -> list[int]:
-        """0-based positions of the 1-based indices, in increasing order."""
-        out = sorted(indices)
-        for i in out:
-            if not 1 <= i <= len(self.vectors):
-                raise IndexError(f"index {i} out of range 1..{len(self.vectors)}")
-        return [i - 1 for i in out]
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -170,13 +166,38 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_echelon(scaled)[2], math.prod(scale for _, scale in scaled))
 
 
+class _SpanKeys(dict):
+    """Increasing 1-based column -> `span_key` of one family's integer rows
+    and dim, each computed on first use; a key is truthy, None is not."""
+
+    __slots__ = ("rows", "dim")
+
+    def __init__(self, rows: Sequence[tuple[Sequence[int], int]], dim: int):
+        self.rows, self.dim = rows, dim
+
+    def __missing__(self, column: tuple[int, ...]) -> Optional[SpanKey]:
+        for i in column:
+            if not 1 <= i <= len(self.rows):
+                raise IndexError(f"index {i} out of range 1..{len(self.rows)}")
+        rows = [self.rows[i - 1] for i in column]
+        # more vectors than dimensions are dependent, with no elimination
+        m, pivots, minor = _echelon(rows) if len(rows) <= self.dim else ([], [], 0)
+        if not minor:
+            self[column] = None
+            return None
+        basis = []
+        for row, c in zip(m, pivots):
+            g = math.gcd(*row)
+            if row[c] < 0:
+                g = -g
+            basis.append(tuple([x // g for x in row]))
+        key = self[column] = tuple(basis), Fraction(minor, math.prod(scale for _, scale in rows))
+        return key
+
+
 def is_independent(family: VectorFamily, indices: Iterable[int]) -> bool:
-    """Whether the selected vectors are linearly independent: whether
-    `_echelon` finds a pivot in each of their rows."""
-    positions = family._positions(indices)
-    if len(positions) > family.dim:
-        return False
-    return len(_echelon([family._scaled_rows[i] for i in positions])[1]) == len(positions)
+    """Whether the selected vectors are independent: whether they have a `span_key`."""
+    return span_key(family, indices) is not None
 
 
 def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
@@ -186,22 +207,9 @@ def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
     scaled to coprime integers with a positive pivot; that renaming is one
     to one, so basis names the span alone.  d is their minor on its pivot
     columns, so two selections with one basis have
-    wedge(a) = (d_a / d_b) * wedge(b).
+    wedge(a) = (d_a / d_b) * wedge(b).  The family memoizes each key.
     """
-    positions = family._positions(indices)
-    if len(positions) > family.dim:
-        return None
-    rows = [family._scaled_rows[i] for i in positions]
-    m, pivots, minor = _echelon(rows)
-    if not minor:
-        return None
-    basis = []
-    for row, c in zip(m, pivots):
-        g = math.gcd(*row)
-        if row[c] < 0:
-            g = -g
-        basis.append(tuple([x // g for x in row]))
-    return tuple(basis), Fraction(minor, math.prod(scale for _, scale in rows))
+    return family._span_keys[tuple(sorted(indices))]
 
 
 def span_equal(

@@ -3,7 +3,8 @@
 The Young symmetrizers check `isotypic_projector` and `apply_element`
 without characters, and the fillings check the column-system searches.
 The Gram-Schmidt character table checks `mn_character`, and the hook
-length formula its values on the identity.  `from_json_obj`
+length formula its values on the identity.  `count_eliminations` counts
+the span keys the deciders compute.  `from_json_obj`
 parses what `symmetrize` writes, and `verdict_json` is the payload whose
 `json.dumps(..., indent=2)` `equal` writes.
 """
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
+from symten import linalg
 from symten.characters import CharacterTable, class_size
 from symten.combinatorics import (
     Part,
@@ -36,6 +38,19 @@ from symten.tensor import SparseTensor
 def fam(*vectors) -> VectorFamily:
     """The family of the given vectors, each entry made a Fraction."""
     return VectorFamily(len(vectors[0]), tuple(tuple(Fraction(x) for x in v) for v in vectors))
+
+
+def count_eliminations(monkeypatch) -> list:
+    """The rows of every `linalg._echelon` call from now on, in order."""
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(rows):
+        calls.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    return calls
 
 
 def sign(sigma: Perm) -> int:

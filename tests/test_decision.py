@@ -33,7 +33,14 @@ from symten.group_algebra import _class_table, _class_weights, _members, isotypi
 from symten.linalg import VectorFamily, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
 from symten.tensor import apply_element, decomposable, project, tensor_equal
-from tests.reference import combination, fam, of_terms, sign, verdict_json
+from tests.reference import (
+    combination,
+    count_eliminations,
+    fam,
+    of_terms,
+    sign,
+    verdict_json,
+)
 from tests.test_cli import DATA
 
 F = Fraction
@@ -96,7 +103,9 @@ def test_gamas_deciders_honour_max_n(capsys, monkeypatch, decider):
     capsys.readouterr()
 
 
-class _CountingKeys(decision._SpanKeys):
+class _CountingKeys(linalg._SpanKeys):
+    """A family's span-key memo that counts its lookups."""
+
     lookups = 0
 
     def __getitem__(self, column):
@@ -113,11 +122,55 @@ class _CountingKeys(decision._SpanKeys):
 def test_gamas_search_prunes_dependent_columns(monkeypatch, decider, bound):
     """Every 4-vector column of a 3-dimensional family is dependent, so
     the search cuts each branch at its first full column."""
-    monkeypatch.setattr(decision, "_SpanKeys", _CountingKeys)
+    monkeypatch.setattr(linalg, "_SpanKeys", _CountingKeys)
     monkeypatch.setattr(_CountingKeys, "lookups", 0)
     family = random_family(random.Random(9), 12, 3)
+    assert type(family._span_keys) is _CountingKeys
     assert decider(family, (3, 3, 3, 3)) == (False, None)
     assert _CountingKeys.lookups <= bound
+
+
+def test_gamas_scans_share_the_family_span_keys(monkeypatch):
+    """`gamas_standard` after `gamas_nonvanishing` eliminates only the
+    columns the first scan left unkeyed, and fewer than on a fresh family."""
+    eliminations = count_eliminations(monkeypatch)
+    shared = fresh = 0
+    for seed in range(10):
+        family = random_family(random.Random(seed), 6, 3, adversarial=True)
+        for lam in enumerate_partitions(6):
+            gamas_nonvanishing(family, lam)
+            keyed = set(family._span_keys)
+            eliminations.clear()
+            gamas_standard(family, lam)
+            unkeyed = set(family._span_keys) - keyed
+            assert len(eliminations) == sum(len(c) <= family.dim for c in unkeyed)
+            shared += len(eliminations)
+            eliminations.clear()
+            gamas_standard(VectorFamily(family.dim, family.vectors), lam)
+            fresh += len(eliminations)
+    assert shared < fresh
+
+
+def test_witness_checks_eliminate_nothing_after_the_decider(monkeypatch):
+    """`transition_scalar` and `columns_independent` on a verdict's witness
+    columns read the span keys `decide_equality` computed."""
+    eliminations = count_eliminations(monkeypatch)
+    rng = random.Random(4)
+    witnesses = 0
+    for _ in range(10):
+        fv = random_family(rng, 5, 3)
+        fu = scaled_family(rng, fv, unit_product=True)
+        for u in (fu, VectorFamily(fu.dim, fu.vectors[1:] + fu.vectors[:1])):
+            for lam in enumerate_partitions(5):
+                verdict = decide_equality(fv, u, lam)
+                eliminations.clear()
+                for w in verdict.witnesses:
+                    assert crosscheck._matching_witness(fv, u, w)
+                    assert columns_independent(fv, w.system)
+                    assert columns_independent(u, w.system)
+                witnesses += len(verdict.witnesses)
+                assert eliminations == []
+    assert witnesses
 
 
 def test_gamas_size_mismatch():
@@ -270,14 +323,7 @@ def test_matching_on_parallel_columns_is_linear(monkeypatch):
     # lambda = (9): one column system of nine singleton columns, all of one
     # span, and no matching of product 1; a search over matchings would
     # visit all 9! of them
-    eliminations = []
-    echelon = linalg._echelon
-
-    def counted(rows):
-        eliminations.append(rows)
-        return echelon(rows)
-
-    monkeypatch.setattr(linalg, "_echelon", counted)
+    eliminations = count_eliminations(monkeypatch)
     fv = fam(*((i, 2 * i) for i in range(1, 10)))
     fu = fam((2, 4), *((i, 2 * i) for i in range(2, 10)))
     verdict = decide_equality(fv, fu, (9,))
@@ -484,6 +530,14 @@ def _identity_matching_reversed_scalars(system, pairs, ratios):
     ), failure
 
 
+def _identity_matching(system, pairs, ratios):
+    """The right matching verdict with its witness reporting the identity
+    sigma and the right scalars: only a witness whose sigma is not the
+    identity shows the fault."""
+    witness, failure = _search_matching(system, pairs, ratios)
+    return witness and witness._replace(sigma=tuple(range(1, len(system) + 1))), failure
+
+
 def _class_table_without_last_shape(n):
     """The class table with the identity's shape, listed last, left off."""
     shapes, classes = _class_table(n)
@@ -503,40 +557,48 @@ def _project_dropping_its_own_weight(x, lam):
 
 
 @pytest.mark.parametrize(
-    "name,module,target,broken",
+    "name,module,target,broken,trials",
     [
-        ("right_action_law", crosscheck, "compose", lambda s, t: compose(t, s)),
-        ("projector_idempotent_and_complete", tensor, "isotypic_projector", _leaky_projector),
+        ("right_action_law", crosscheck, "compose", lambda s, t: compose(t, s), 6),
+        ("projector_idempotent_and_complete", tensor, "isotypic_projector", _leaky_projector, 6),
         ("projector_idempotent_and_complete", crosscheck, "_class_table",
-         _class_table_without_last_shape),
-        ("gamas_matches_oracle", crosscheck, "_class_sums", _identity_class_sum),
-        ("gamas_matches_oracle", crosscheck, "gamas_standard", lambda fam, lam: (False, None)),
-        ("gamas_matches_oracle", crosscheck, "gamas_standard", _reversed_rows),
-        ("gamas_matches_oracle", crosscheck, "columns_independent", lambda fam, system: False),
-        ("equality_matches_oracle", crosscheck, "decide_equality", _flip_verdict),
-        ("projector_idempotent_and_complete", tensor, "apply_element", _apply_without_identity),
+         _class_table_without_last_shape, 6),
+        ("gamas_matches_oracle", crosscheck, "_class_sums", _identity_class_sum, 6),
+        ("gamas_matches_oracle", crosscheck, "gamas_standard", lambda fam, lam: (False, None), 6),
+        ("gamas_matches_oracle", crosscheck, "gamas_standard", _reversed_rows, 6),
+        ("gamas_matches_oracle", crosscheck, "columns_independent", lambda fam, system: False, 6),
+        ("equality_matches_oracle", crosscheck, "decide_equality", _flip_verdict, 6),
+        ("projector_idempotent_and_complete", tensor, "apply_element", _apply_without_identity,
+         6),
         ("projector_idempotent_and_complete", tensor, "isotypic_projector",
-         _projector_of_next_shape),
-        ("gamas_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity),
-        ("gamas_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape),
-        ("equality_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity),
-        ("equality_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape),
+         _projector_of_next_shape, 6),
+        ("gamas_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity, 6),
+        ("gamas_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape, 6),
+        ("equality_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity, 6),
+        ("equality_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape, 6),
         ("projector_idempotent_and_complete", crosscheck, "project",
-         _project_dropping_its_own_weight),
-        ("gamas_matches_oracle", crosscheck, "gamas_nonvanishing", _first_column_split),
-        ("right_action_law", tensor, "_members", _inverse_members),
+         _project_dropping_its_own_weight, 6),
+        ("gamas_matches_oracle", crosscheck, "gamas_nonvanishing", _first_column_split, 6),
+        ("right_action_law", tensor, "_members", _inverse_members, 6),
         ("equality_matches_oracle", decision, "_search_matching",
-         _identity_matching_reversed_scalars),
+         _identity_matching_reversed_scalars, 6),
+        # the first witness whose sigma is not the identity comes in the
+        # tenth trial, a unit-product one
+        ("equality_matches_oracle", decision, "_search_matching", _identity_matching, 10),
     ],
     ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
          "witness", "equality",
          "sweep-class-idempotent", "sweep-shape-idempotent", "sweep-class-gamas",
          "sweep-shape-gamas", "sweep-class-equality", "sweep-shape-equality",
-         "pruned-own-weight", "witness-shape", "kernel-convention", "witness-matching"],
+         "pruned-own-weight", "witness-shape", "kernel-convention", "witness-matching",
+         "witness-identity"],
 )
-def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, module, target, broken):
+def test_crosscheck_property_catches_a_broken_part(
+    monkeypatch, name, module, target, broken, trials
+):
+    """Each fault is caught within its number of trials."""
     monkeypatch.setattr(module, target, broken)
-    prop = dict(crosscheck.properties(3, 6, random.Random(1)))[name]
+    prop = dict(crosscheck.properties(3, trials, random.Random(1)))[name]
     assert prop() is None
 
 
@@ -552,9 +614,9 @@ def test_selfcheck_catches_a_broken_counted_path(monkeypatch, capsys):
     """The counted path of `apply_element`, which `symmetrize` runs, with
     one image of each entry dropped, fails the projector property at two
     of CI's selfcheck settings, seed 0: n = 3 with 25 trials, and n = 6
-    with 3 trials."""
+    with 4 trials."""
     monkeypatch.setattr(tensor, "Counter", _FirstImageDropped)
-    for n, trials in [(3, 25), (6, 3)]:
+    for n, trials in [(3, 25), (6, 4)]:
         code = cli.main(["selfcheck", "--n", str(n), "--trials", str(trials), "--seed", "0"])
         results = json.loads(capsys.readouterr().out)["properties"]
         assert code == cli.EXIT_SELFCHECK_FAILED, n
@@ -633,17 +695,18 @@ def test_permutation_draw_is_rng_choice_of_the_list(n):
 @pytest.mark.parametrize(
     "name,target,broken,calls_per_trial",
     [
-        ("right_action_law", "tensor_equal", lambda x, y: False, 1),
-        ("projector_idempotent_and_complete", "tensor_equal", lambda x, y: False, 4),
-        ("gamas_matches_oracle", "_class_sums", _identity_class_sum, 1),
-        ("equality_matches_oracle", "decide_equality", _flip_verdict, 3),
+        ("right_action_law", "tensor_equal", lambda x, y: False, (1, 1, 1, 1)),
+        ("projector_idempotent_and_complete", "tensor_equal", lambda x, y: False, (4,) * 4),
+        ("gamas_matches_oracle", "_class_sums", _identity_class_sum, (1, 1, 1, 1)),
+        # one call per shape of 3; the unit-product trial decides u and u rotated
+        ("equality_matches_oracle", "decide_equality", _flip_verdict, (3, 6, 3, 3)),
     ],
     ids=["action", "projector", "gamas", "equality"],
 )
 def test_crosscheck_property_catches_a_fault_in_its_last_trial(
     monkeypatch, name, target, broken, calls_per_trial
 ):
-    trials = 4
+    trials = len(calls_per_trial)
     real = getattr(crosscheck, target)
     calls, healthy = 0, math.inf
 
@@ -657,9 +720,9 @@ def test_crosscheck_property_catches_a_fault_in_its_last_trial(
 
     monkeypatch.setattr(crosscheck, target, late_fault)
     assert run() is not None
-    assert calls == trials * calls_per_trial
+    assert calls == sum(calls_per_trial)
     # the calls of the first trials - 1 trials go right, every later one wrong
-    calls, healthy = 0, (trials - 1) * calls_per_trial
+    calls, healthy = 0, sum(calls_per_trial[:-1])
     assert run() is None
 
 
@@ -667,8 +730,10 @@ def test_equality_property_draws_every_kind_of_u(monkeypatch):
     """u unrelated to v, a unit-product rescaling of v, one of another
     product and v moved by a shift of determinant 1 all occur; unrelated
     ones reach unequal components, and shifted ones both unequal and
-    equal nonzero components."""
+    equal nonzero components.  A unit-product rescaling rotated by one
+    place reaches both unequal and equal nonzero components."""
     draws, outcomes, equal_nonzero = [], Counter(), Counter()
+    scaled = []
 
     def drawn_family(*args, **kwargs):
         draws.append("random")
@@ -676,7 +741,8 @@ def test_equality_property_draws_every_kind_of_u(monkeypatch):
 
     def drawn_scaling(rng, base, unit_product):
         draws.append("unit" if unit_product else "non-unit")
-        return scaled_family(rng, base, unit_product)
+        scaled.append(scaled_family(rng, base, unit_product))
+        return scaled[-1]
 
     def drawn_shift(base):
         draws.append("shifted")
@@ -686,6 +752,8 @@ def test_equality_property_draws_every_kind_of_u(monkeypatch):
         verdict = decide_equality(fv, fu, lam)
         # each trial draws v with random_family first, then u
         kind = "unrelated" if draws[-2:] == ["random", "random"] else draws[-1]
+        if kind == "unit" and fu is not scaled[-1]:
+            kind = "rotated"
         outcomes[kind, verdict.equal] += 1
         # equal with a witness system: equal and nonzero, by Gamas' theorem
         equal_nonzero[kind] += verdict.mode == "witnessed"
@@ -698,11 +766,15 @@ def test_equality_property_draws_every_kind_of_u(monkeypatch):
     prop = dict(crosscheck.properties(3, 25, random.Random(0)))["equality_matches_oracle"]
     # the property passes, so every verdict counted is the Gram comparison's
     assert prop() == 25 * 3
-    assert {kind for kind, _ in outcomes} == {"unrelated", "unit", "non-unit", "shifted"}
+    assert {kind for kind, _ in outcomes} == {
+        "unrelated", "unit", "non-unit", "shifted", "rotated"
+    }
     assert outcomes["unrelated", False] >= 1
     assert outcomes["unit", False] == 0
     assert outcomes["shifted", False] >= 1
     assert equal_nonzero["shifted"] >= 1
+    assert outcomes["rotated", False] >= 1
+    assert equal_nonzero["rotated"] >= 1
 
 
 def test_shifted_family_is_a_change_of_coordinates_of_determinant_one():

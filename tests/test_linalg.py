@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from symten.linalg import (
     span_key,
     transition_scalar,
 )
-from tests.reference import fam, sign
+from tests.reference import count_eliminations, fam, sign
 
 F = Fraction
 
@@ -132,10 +133,12 @@ def test_is_independent_examples():
     assert not is_independent(family, {1, 2})
     family = fam(E1, E2, (1, 1, 0))
     assert is_independent(family, {1, 3})
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^index 0 out of range 1\.\.3$"):
         is_independent(family, {0})
-    with pytest.raises(IndexError):
-        is_independent(family, {4})
+    with pytest.raises(IndexError, match=r"^index 4 out of range 1\.\.3$"):
+        is_independent(family, {4, 1})
+    # a refused selection leaves nothing in the family's memo
+    assert set(family._span_keys) == {(1, 3)}
 
 
 def test_span_equal_examples():
@@ -376,6 +379,33 @@ def test_vector_family_keeps_entries():
     assert family.vectors[0][0] is q
     assert family == VectorFamily(2, ((F(2, 3), F(5)),))
     assert "_scaled_rows" not in repr(family)
+    twin = VectorFamily(2, [[q, 5]])
+    # the span keys a family memoizes are not part of its value
+    assert span_key(family, {1}) == (((2, 15),), F(2, 3))
+    assert set(family._span_keys) == {(1,)} and not twin._span_keys
+    assert family == twin and hash(family) == hash(twin)
+    assert repr(family) == repr(twin) == "VectorFamily(dim=2, vectors=((Fraction(2, 3), 5),))"
+
+
+def test_span_key_memo_holds_no_reference_to_its_family():
+    family = fam(E1, E2, (1, 1, 0))
+    span_key(family, {1, 3})
+    memo = family._span_keys
+    assert all(x is not family for x in gc.get_referents(memo))
+    assert memo.rows is family._scaled_rows and memo.dim == family.dim
+
+
+def test_span_key_memo_eliminates_each_selection_once(monkeypatch):
+    eliminations = count_eliminations(monkeypatch)
+    family = fam(E1, E2, (1, 1, 0), E3)
+    for _ in range(2):
+        for indices in ({1, 2}, [2, 1], (1, 2, 3), {1, 2, 3, 4}, {4, 3}):
+            span_key(family, indices)
+            is_independent(family, indices)
+        assert transition_scalar(family, {1, 2}, family, {3, 2}) == -1
+        assert span_equal(family, {1, 2}, family, {1, 3})
+    # {1, 2, 3, 4} has more vectors than dimensions and needs no elimination
+    assert len(eliminations) == 5
 
 
 def test_independence_matches_nonzero_minor():
