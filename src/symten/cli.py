@@ -13,9 +13,9 @@ Every command writes exactly the bytes of
 Each other payload is one `%` template, about one Python step per
 record: `gamas` joins in its witnesses' columns, `symmetrize` writes one
 more template per tensor entry, and `equal` one per witness or failure,
-with each column's and each rational's text written once per call.  The
-tests hold these bytes to `json.dumps` of the reference payloads,
-`tensor.to_json_obj` and `verdict_json`.  `selfcheck` runs the
+with each column's text and each rational value's written once per
+call.  The tests hold these bytes to `json.dumps` of the reference
+payloads, `tensor.to_json_obj` and `verdict_json`.  `selfcheck` runs the
 properties of `symten.crosscheck`.  Each command checks its degree
 against `--max-n` once (`check_limit`), after its arguments and input
 parse and before any work; `symmetrize` then checks the class table's
@@ -159,18 +159,16 @@ def _columns_json(columns) -> str:
 
 
 def _rational_writer() -> Callable[[Fraction], str]:
-    """A writer of rationals as JSON strings, for one payload: looked up by
-    `id` first, because hashing a `Fraction` costs more than formatting
-    it, and by value once per object, so that each value is formatted
-    once.  The payload must keep every rational it writes alive while the
-    writer is in use, so that no id is reused.  A numeral needs no escape."""
-    formatted = functools.cache(lambda q: '"%s"' % format_rational(q))
-    by_id: dict[int, str] = {}
+    """A writer of rationals as JSON strings, for one payload, that formats
+    each value once: its texts are keyed by numerator and denominator,
+    which hash faster than a `Fraction`.  A numeral needs no escape."""
+    texts: dict[tuple[int, int], str] = {}
 
     def rational(q: Fraction) -> str:
-        text = by_id.get(id(q))
+        key = q.numerator, q.denominator
+        text = texts.get(key)
         if text is None:
-            text = by_id[id(q)] = formatted(q)
+            text = texts[key] = '"%s"' % format_rational(q)
         return text
 
     return rational
@@ -180,9 +178,7 @@ def _tensor_text(x: SparseTensor) -> str:
     """`json.dumps(tensor.to_json_obj(x), indent=2)`, from one template:
     each entry, in index order, by one `%` template for the order, `%d`
     per slot and `%s` for the coefficient, with no dict or list built for
-    it, and each coefficient object written once (`_rational_writer`):
-    `apply_element` shares one `Fraction` between the entries of one
-    value."""
+    it, and each coefficient value formatted once (`_rational_writer`)."""
     rational = _rational_writer()
     slots = _json_list(["%d"] * x.order, "\n      ")
     template = '{\n      "index": ' + slots + ',\n      "coeff": %s\n    }'
@@ -198,9 +194,9 @@ def _verdict_text(verdict: EqualityVerdict) -> str:
     """`json.dumps` of the verdict's payload (`verdict_json` in the tests),
     indent 2, from one template, with each failure and witness written by
     one template of its own.  A column's text is written once per call,
-    and so is a rational's (`_rational_writer`); the verdict keeps every
-    rational alive.  The mode and the reasons are `decision`'s ASCII
-    constants, quoted in the templates with nothing to escape."""
+    and so is a rational value's (`_rational_writer`).  The mode and the
+    reasons are `decision`'s ASCII constants, quoted in the templates
+    with nothing to escape."""
     column = functools.cache(lambda c: _json_list(map(str, c), "\n        "))
     rational = _rational_writer()
 

@@ -2,7 +2,12 @@
 
 The commands use the lazy searches of column systems and standard
 tableaux (`iter_column_systems`, `iter_standard`) and, for the oracle's
-class table, `enumerate_permutations` and `cycle_type`.  The fillings of
+class table, `enumerate_permutations` and `cycle_type`.  Each search
+takes a `keep` predicate and cuts every branch at a column, or top part
+of a column, that fails it.  For a down-closed `keep` (a subset of a
+kept column is kept) it yields, in the order of the full search, exactly
+the systems or tableaux whose every column passes; `enumerate_standard`
+and `enumerate_column_systems` list the full searches.  The fillings of
 a shape, the row and column groups of a tableau and the sign of a
 permutation serve only the Young symmetrizers that the tests check the
 oracle against, and live with them.
@@ -21,7 +26,7 @@ Conventions fixed here, once:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 Part = tuple[int, ...]
@@ -113,15 +118,13 @@ def is_filling(rows: Rows) -> bool:
     return is_partition(shape) and sorted(entries) == list(range(1, len(entries) + 1))
 
 
-def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
+def iter_standard(lam: Part, keep: Keep) -> Iterator[Rows]:
     """Standard tableaux of shape lam (rows and columns increase), lazily.
 
     Values 1..n are placed in increasing order, each in turn at the end of
     every row that can take it, topmost first, so each column grows
-    downwards in increasing order.  With `keep`, every placement tests the
-    column's top part so far and the branch is cut when it fails: for a
-    down-closed `keep` (a subset of a kept column is kept) this yields, in
-    the same order, exactly the tableaux whose every column passes.
+    downwards in increasing order.  Every placement tests the column's
+    top part so far with `keep`.
     """
     n = sum(lam)
     filled = [0] * len(lam)
@@ -135,7 +138,7 @@ def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
             j = filled[i]
             if j < lam[i] and (i == 0 or filled[i - 1] > j):
                 top = cols[j] + (value,)
-                if keep is None or keep(top):
+                if keep(top):
                     cols[j] = top
                     filled[i] += 1
                     yield from place(value + 1)
@@ -147,7 +150,7 @@ def iter_standard(lam: Part, keep: Optional[Keep] = None) -> Iterator[Rows]:
 
 def enumerate_standard(lam: Part) -> list[Rows]:
     """All standard tableaux of shape lam, in the order of `iter_standard`."""
-    return list(iter_standard(lam))
+    return list(iter_standard(lam, lambda column: True))
 
 
 def tableau_columns(rows: Rows) -> list[tuple[int, ...]]:
@@ -169,7 +172,7 @@ def column_system_of(rows: Rows) -> ColumnSystem:
     return canonical_system(tableau_columns(rows))
 
 
-def iter_column_systems(lam: Part, keep: Optional[Keep] = None) -> Iterator[ColumnSystem]:
+def iter_column_systems(lam: Part, keep: Keep) -> Iterator[ColumnSystem]:
     """Every multiset of column sets arising from a filling of lam, once each.
 
     A depth-first search builds each system canonically, column by
@@ -177,9 +180,7 @@ def iter_column_systems(lam: Part, keep: Optional[Keep] = None) -> Iterator[Colu
     order of their least entry, and a column's least entry leaves below
     it only as many unused entries as the smaller columns after its run
     can take.  Every branch thus completes, and systems come out in
-    lexicographic order.  With `keep`, a column that fails it cuts its
-    branch: this yields, in the same order, exactly the systems whose
-    every column passes.
+    lexicographic order.  Every column is tested with `keep`.
     """
     n = sum(lam)
     sizes = conjugate(lam)
@@ -192,7 +193,7 @@ def iter_column_systems(lam: Part, keep: Optional[Keep] = None) -> Iterator[Colu
 
     def rec(remaining: tuple[int, ...], j: int) -> Iterator[ColumnSystem]:
         if j == last:  # the last column is whatever is left
-            if keep is None or keep(remaining):
+            if keep(remaining):
                 yield (*acc, remaining)
             return
         above = acc[-1][0] if j > 0 and sizes[j - 1] == sizes[j] else 0
@@ -202,7 +203,7 @@ def iter_column_systems(lam: Part, keep: Optional[Keep] = None) -> Iterator[Colu
                 continue
             for rest in itertools.combinations(remaining[i + 1:], sizes[j] - 1):
                 column = (lead, *rest)
-                if keep is None or keep(column):
+                if keep(column):
                     acc.append(column)
                     yield from rec(tuple([x for x in remaining if x not in column]), j + 1)
                     acc.pop()
@@ -212,4 +213,4 @@ def iter_column_systems(lam: Part, keep: Optional[Keep] = None) -> Iterator[Colu
 
 def enumerate_column_systems(lam: Part) -> list[ColumnSystem]:
     """All column systems of lam, canonical, in the order of `iter_column_systems`."""
-    return list(iter_column_systems(lam))
+    return list(iter_column_systems(lam, lambda column: True))

@@ -4,7 +4,9 @@ The Young symmetrizers check `isotypic_projector` and `apply_element`
 without characters, and the fillings check the column-system searches.
 The Gram-Schmidt character table checks `mn_character`, and the hook
 length formula its values on the identity.  `count_eliminations` counts
-the span keys the deciders compute.  `from_json_obj`
+the span keys the deciders compute.  The families from `vandermonde` to
+`transformed` fix the deciders' verdicts by construction, past the
+degrees the oracle reaches.  `from_json_obj`
 parses what `symmetrize` writes, and `verdict_json` is the payload whose
 `json.dumps(..., indent=2)` `equal` writes.
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -202,6 +206,71 @@ def character_table_oracle(n: int) -> CharacterTable:
             raise ArithmeticError(f"non-integer character value in the row of {lam}")
         rows.append(tuple(int(a) for a in vec))
     return CharacterTable(n, parts, parts, sizes, tuple(rows))
+
+
+def column_system_count(lam: Part) -> int:
+    """n! over the orders of the column groups and of the permutations of
+    equal columns: the number of column systems of lam."""
+    sizes = conjugate(lam)
+    return math.factorial(sum(lam)) // (
+        math.prod(map(math.factorial, sizes))
+        * math.prod(map(math.factorial, Counter(sizes).values()))
+    )
+
+
+def _scalars(rng: random.Random, n: int, product: Fraction) -> list[Fraction]:
+    """n nonzero rationals drawn from rng, the last one chosen so that
+    they multiply to product."""
+    scalars = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))) for _ in range(n)]
+    scalars[-1] *= product / math.prod(scalars)
+    return scalars
+
+
+def vandermonde(rng: random.Random, n: int, dim: int) -> VectorFamily:
+    """c_i (1, t_i, ..., t_i^(dim-1)) for n distinct integers t_i and
+    nonzero integers c_i: any dim of these vectors are independent, so the
+    tensor is nonzero exactly for the shapes of at most dim rows."""
+    ts = rng.sample(range(-n, n + 1), n)
+    cs = [rng.choice((-2, -1, 1, 2)) for _ in ts]
+    return VectorFamily(dim, [[c * t**e for e in range(dim)] for c, t in zip(cs, ts)])
+
+
+def in_subspace(rng: random.Random, n: int, dim: int, k: int, w: int) -> VectorFamily:
+    """A Vandermonde family with k of its vectors, at drawn places,
+    replaced by vectors of one subspace of dimension at most w.  A column
+    holds at most w independent vectors of the subspace, so for k past the
+    sum over the columns of min(column length, w) every column system has
+    a dependent column and the tensor vanishes."""
+    basis = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(w)]
+    vectors = list(vandermonde(rng, n, dim).vectors)
+    for i in rng.sample(range(n), k):
+        coefficients = [rng.randint(-2, 2) for _ in range(w)]
+        vectors[i] = [sum(a * b[j] for a, b in zip(coefficients, basis)) for j in range(dim)]
+    return VectorFamily(dim, vectors)
+
+
+def rescaled(
+    rng: random.Random, family: VectorFamily, product: Fraction, shift: int = 0
+) -> VectorFamily:
+    """u_i = c_i v_(i + shift), indices mod n, for drawn nonzero rationals
+    c_i that multiply to product.  The tensor of every shape is multiplied
+    by product when shift is 0; for the shape (n), whose symmetrizer is
+    commutative, by product whatever the shift."""
+    n, v = len(family), family.vectors
+    return VectorFamily(
+        family.dim,
+        [[c * x for x in v[(i + shift) % n]] for i, c in enumerate(_scalars(rng, n, product))],
+    )
+
+
+def transformed(g: list[list[int]], family: VectorFamily) -> VectorFamily:
+    """The family g v_i.  For an invertible g, g^(tensor n) commutes with
+    every isotypic projector and keeps every independence, span equality
+    and wedge ratio, so each equality verdict is the same for (g v, g u)
+    as for (v, u), field for field."""
+    return VectorFamily(
+        family.dim, [[sum(a * x for a, x in zip(row, v)) for row in g] for v in family.vectors]
+    )
 
 
 def from_json_obj(obj: dict) -> SparseTensor:

@@ -43,6 +43,9 @@ GOLDEN_CASES = [
     (("equal",), "equal_both_vanish"),
     (("equal",), "equal_witnessed_n7"),
     (("equal", "--exhaustive-failures"), "equal_product_off_exhaustive"),
+    # λ = (9), u a unit-product rescaling of v rotated by one place: the
+    # witness's sigma is not the identity
+    (("equal", "--max-n", "9"), "equal_rotated_n9"),
     (("symmetrize",), "symmetrize_basis"),
     (("symmetrize",), "symmetrize_vanishing"),
     (("symmetrize",), "symmetrize_n8"),
@@ -184,6 +187,31 @@ def test_equal_formats_each_rational_once(capsys, monkeypatch, flags, name):
     # the witnesses and failures share their ratios: far fewer values than scalars
     assert len(set(written)) * 4 < len(written)
     assert sorted(map(format_rational, calls)) == sorted(set(written))
+
+
+def test_symmetrize_formats_each_rational_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return format_rational(q)
+
+    monkeypatch.setattr(cli, "format_rational", counted)
+    code, out = run(capsys, "symmetrize", "--input", str(DATA / "symmetrize_n8.json"))
+    assert code == 0
+    written = [entry["coeff"] for entry in json.loads(out)["entries"]]
+    # the entries share their values: far fewer values than entries
+    assert len(set(written)) * 4 < len(written)
+    assert sorted(map(format_rational, calls)) == sorted(set(written))
+
+
+def test_rational_writer_texts_values_it_does_not_keep_alive():
+    """Each rational is dropped once written, so a later one may reuse its
+    memory; each still gets its own value's text."""
+    rational = cli._rational_writer()
+    values = [(p, q) for q in (1, 2, 3, 7) for p in range(-30, 31)]
+    texts = [rational(Fraction(p, q)) for p, q in values]
+    assert texts == [json.dumps(format_rational(Fraction(p, q))) for p, q in values]
 
 
 def test_version(capsys):

@@ -11,6 +11,7 @@ import pytest
 from symten import cli, crosscheck, decision, linalg, tensor
 from symten.combinatorics import (
     compose,
+    conjugate,
     enumerate_column_systems,
     enumerate_partitions,
     enumerate_permutations,
@@ -30,15 +31,20 @@ from symten.decision import (
     gamas_standard,
 )
 from symten.group_algebra import _class_table, _class_weights, _members, isotypic_projector
-from symten.linalg import VectorFamily, transition_scalar
+from symten.linalg import VectorFamily, rank, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
 from symten.tensor import apply_element, decomposable, project, tensor_equal
 from tests.reference import (
+    column_system_count,
     combination,
     count_eliminations,
     fam,
+    in_subspace,
     of_terms,
+    rescaled,
     sign,
+    transformed,
+    vandermonde,
     verdict_json,
 )
 from tests.test_cli import DATA
@@ -849,3 +855,82 @@ def test_tiny_sweep_rejects_a_witness_reported_with_the_identity_sigma(monkeypat
     counts = _tiny_sweep()
     assert counts["moved"] == 0
     assert counts["rejected"] == counts["failed"] == 96
+
+
+#: The 32 shapes of 9 and 10 with at most 500 column systems.
+CONSTRUCTED_SHAPES = [
+    lam for n in (9, 10) for lam in enumerate_partitions(n) if column_system_count(lam) <= 500
+]
+
+
+def _invertible(rng: random.Random, dim: int) -> list[list[int]]:
+    while True:
+        g = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        if rank(g) == dim:
+            return g
+
+
+def test_constructed_verdicts_past_the_oracle():
+    """Verdicts that follow from the construction alone, at degrees 9 and
+    10, which the oracle does not reach, in dimensions 2, 3 and 5: a
+    Vandermonde family is nonzero exactly on the shapes of at most dim
+    rows, and k vectors in a subspace of dimension w vanish when k is past
+    the sum of min(column length, w).  A rescaling is witnessed exactly
+    when its product is 1 (both vanish on a taller shape), and on the shape
+    (n) rotated by one place too, with a witness that moves the columns;
+    u = g v with det g = 1 is equal on the shape (k^dim).  The failing
+    and rotated verdicts, and those of v against an unrelated family,
+    stay field for field under a change of basis.  The equality checks run
+    in dimension 5 only on (2^5): on each other shape of five rows, each
+    family would eliminate over a hundred columns of five vectors."""
+    rng = random.Random(9)
+    counts = Counter()
+    for lam, dim in itertools.product(CONSTRUCTED_SHAPES, (2, 3, 5)):
+        n, sizes = sum(lam), conjugate(lam)
+        nonzero = len(lam) <= dim
+        v = vandermonde(rng, n, dim)
+        assert gamas_nonvanishing(v, lam)[0] == gamas_standard(v, lam)[0] == nonzero, lam
+        w = rng.randrange(1, dim)
+        k = sum(min(size, w) for size in sizes) + 1
+        if k <= n:
+            z = in_subspace(rng, n, dim, k, w)
+            assert not gamas_nonvanishing(z, lam)[0] and not gamas_standard(z, lam)[0], lam
+            counts["subspace", "vanishing"] += 1
+        if dim == 5 and lam != (2,) * 5:
+            continue
+        product = rng.choice((F(-1), F(2), F(1, 3)))
+        cases = [
+            ("unit", rescaled(rng, v, F(1)), "witnessed" if nonzero else "both_vanish"),
+            ("product", rescaled(rng, v, product), "failed" if nonzero else "both_vanish"),
+            ("unrelated", vandermonde(rng, n, dim), None),
+        ]
+        if len(lam) == 1:
+            cases.append(("rotated", rescaled(rng, v, F(1), shift=1), "witnessed"))
+        if sizes == (dim,) * lam[0]:
+            cases.append(("det 1", shifted_family(v), "witnessed"))
+        g = _invertible(rng, dim)
+        gv = transformed(g, v)
+        for name, u, mode in cases:
+            verdict = decide_equality(v, u, lam, exhaustive=True)
+            assert mode in (None, verdict.mode), (name, lam, dim)
+            assert all(crosscheck._matching_witness(v, u, x) for x in verdict.witnesses)
+            if name == "product" and nonzero:
+                assert {(f.reason, f.product) for f in verdict.failures} == {
+                    (PRODUCT_NOT_ONE, 1 / product)
+                }
+            if name == "rotated":
+                assert all(x.sigma != tuple(range(1, n + 1)) for x in verdict.witnesses)
+            if name in ("product", "rotated", "unrelated"):
+                assert decide_equality(gv, transformed(g, u), lam, True) == verdict
+            counts[name, verdict.mode] += 1
+    assert counts == {
+        ("subspace", "vanishing"): 85,
+        ("unit", "witnessed"): 14,
+        ("product", "failed"): 14,
+        ("unrelated", "failed"): 14,
+        ("rotated", "witnessed"): 4,
+        ("det 1", "witnessed"): 2,
+        ("unit", "both_vanish"): 51,
+        ("product", "both_vanish"): 51,
+        ("unrelated", "both_vanish"): 51,
+    }

@@ -2,7 +2,8 @@
 with the reason it stays; one that only the tests call belongs in
 `tests/reference.py`.  The commands run in a fresh interpreter, so that
 no per-process cache (`_class_table`, `mn_character`) hides a call.
-No module of `symten` holds an `assert`, which `python -O` strips."""
+No module of `symten` holds an `assert`, which `python -O` strips, or
+calls `id`."""
 import ast
 import importlib
 import json
@@ -108,6 +109,17 @@ def test_no_check_is_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_module_calls_id():
+    """No output can depend on which objects the caller keeps alive."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+    ]
+    assert calls == []
 
 
 def _perfbench_names():
