@@ -80,8 +80,11 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not an integer or a p/q string: {value!r:.40}")
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
+    """q as "p" or "p/q" in lowest terms; q is a non-bool int or a
+    Fraction, else TypeError."""
     if type(q) is not Fraction:
+        _exact([[q]])
         q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)

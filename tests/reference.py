@@ -8,14 +8,19 @@ the span keys the deciders compute.  The families from `vandermonde` to
 `transformed` fix the deciders' verdicts by construction, past the
 degrees the oracle reaches.  `from_json_obj`
 parses what `symmetrize` writes, and `verdict_json` is the payload whose
-`json.dumps(..., indent=2)` `equal` writes.
+`json.dumps(..., indent=2)` `equal` writes.  `edited` and `sabotage` put
+a fault into the code that runs: one text replaced in one function.
 """
 from __future__ import annotations
 
+import __future__
 import functools
+import inspect
 import itertools
 import math
 import random
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator
@@ -55,6 +60,40 @@ def count_eliminations(monkeypatch) -> list:
 
     monkeypatch.setattr(linalg, "_echelon", counted)
     return calls
+
+
+def edited(module, name: str, old: str, new: str):
+    """The function `name` of module, or the method `Class.name`, compiled
+    anew in the module's globals from its source with old replaced by new.
+    old must occur exactly once, so a fault whose site has moved or become
+    ambiguous raises ValueError rather than editing something else."""
+    *path, attr = name.split(".")
+    original = vars(functools.reduce(getattr, path, module))[attr]
+    source = textwrap.dedent(inspect.getsource(original))
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {source.count(old)} times in {name}")
+    # blank lines keep the edited function's line numbers those of its file
+    lines = "\n" * (inspect.getsourcelines(original)[1] - 1) + source.replace(old, new)
+    flags = __future__.annotations.compiler_flag
+    scope: dict = {}
+    exec(compile(lines, inspect.getsourcefile(original), "exec", flags), vars(module), scope)
+    return scope[attr]
+
+
+def sabotage(monkeypatch, module, name: str, old: str, new: str) -> None:
+    """Install `edited(module, name, old, new)`: on its class for a method,
+    else on every attribute of a `symten` module bound to the original, so
+    that the names other modules imported follow it."""
+    fault = edited(module, name, old, new)
+    *path, attr = name.split(".")
+    if path:
+        monkeypatch.setattr(functools.reduce(getattr, path, module), attr, fault)
+        return
+    original = getattr(module, attr)
+    for mod in [m for key, m in sys.modules.items() if key.partition(".")[0] == "symten"]:
+        for bound, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, bound, fault)
 
 
 def sign(sigma: Perm) -> int:

@@ -60,6 +60,9 @@ GOLDEN_COMMANDS = [
     (("selfcheck", "--n", "3", "--trials", "5", "--seed", "2"), "selfcheck_n3"),
 ]
 
+# the (n, trials) of each selfcheck run, seed 0, that CI runs under python -O
+SELFCHECK_SETTINGS = [(3, 25), (4, 100), (5, 25), (6, 4), (7, 2)]
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))

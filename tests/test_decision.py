@@ -10,13 +10,11 @@ import pytest
 
 from symten import cli, crosscheck, decision, linalg, tensor
 from symten.combinatorics import (
-    compose,
     conjugate,
     enumerate_column_systems,
     enumerate_partitions,
     enumerate_permutations,
 )
-from symten.crosscheck import _class_sums
 from symten.decision import (
     INDEPENDENCE_MISMATCH,
     NO_SPAN_MATCHING,
@@ -24,13 +22,12 @@ from symten.decision import (
     EqualityVerdict,
     SystemFailure,
     SystemWitness,
-    _search_matching,
     columns_independent,
     decide_equality,
     gamas_nonvanishing,
     gamas_standard,
 )
-from symten.group_algebra import _class_table, _class_weights, _members, isotypic_projector
+from symten.group_algebra import _class_table, isotypic_projector
 from symten.linalg import VectorFamily, rank, transition_scalar
 from symten.sampling import random_family, scaled_family, shifted_family
 from symten.tensor import apply_element, decomposable, project, tensor_equal
@@ -38,16 +35,18 @@ from tests.reference import (
     column_system_count,
     combination,
     count_eliminations,
+    edited,
     fam,
     in_subspace,
     of_terms,
     rescaled,
+    sabotage,
     sign,
     transformed,
     vandermonde,
     verdict_json,
 )
-from tests.test_cli import DATA
+from tests.test_cli import DATA, SELFCHECK_SETTINGS
 
 F = Fraction
 
@@ -485,112 +484,92 @@ def _projector_of_next_shape(lam):
     return isotypic_projector(shapes[(shapes.index(lam) + 1) % len(shapes)])
 
 
-def _class_sums_without_identity(fv, fu):
-    """The Gram forms' class sums with the identity's class, listed last,
-    left out."""
-    sums = _class_sums(fv, fu)
-    return sums[:-1] + [0]
-
-
-def _identity_class_sum(fv, fu):
-    """Class sums that are 0 but for the identity's class, which is 1:
-    every form is then f^lam, so no projected tensor vanishes."""
-    return [0] * (len(_class_sums(fv, fu)) - 1) + [1]
-
-
-def _weights_of_next_shape(lam, shapes):
-    """Each shape given the character values of the shape after it."""
-    scale, _ = _class_weights(lam, shapes)
-    return scale, _class_weights(shapes[(shapes.index(lam) + 1) % len(shapes)], shapes)[1]
-
-
-def _reversed_rows(fam, lam):
-    """The right standard-scan verdict with each row of its witness
-    reversed: a tableau of the shape, but not a standard one."""
-    standard, rows = gamas_standard(fam, lam)
-    return standard, rows and tuple(row[::-1] for row in rows)
-
-
-def _first_column_split(fam, lam):
-    """The right column-system verdict with the first column of its
-    witness split into one column per entry: independent columns, but not
-    a column system of the shape."""
-    nonzero, system = gamas_nonvanishing(fam, lam)
-    return nonzero, system and tuple((i,) for i in system[0]) + system[1:]
-
-
-def _inverse_members(flat, n):
-    """A run's permutations, each as its inverse: the walked path acting
-    by sigma^-1, which no class sum can tell from sigma."""
-    for sigma in _members(flat, n):
-        yield tuple(sorted(range(1, n + 1), key=lambda i: sigma[i - 1]))
-
-
-def _identity_matching_reversed_scalars(system, pairs, ratios):
-    """The right matching verdict with its witness reporting the identity
-    sigma and its scalars in reverse order: their product is still 1, but
-    they are not the transition scalars of the matched columns."""
-    witness, failure = _search_matching(system, pairs, ratios)
-    return witness and witness._replace(
-        sigma=tuple(range(1, len(system) + 1)), scalars=witness.scalars[::-1]
-    ), failure
-
-
-def _identity_matching(system, pairs, ratios):
-    """The right matching verdict with its witness reporting the identity
-    sigma and the right scalars: only a witness whose sigma is not the
-    identity shows the fault."""
-    witness, failure = _search_matching(system, pairs, ratios)
-    return witness and witness._replace(sigma=tuple(range(1, len(system) + 1))), failure
-
-
-def _class_table_without_last_shape(n):
-    """The class table with the identity's shape, listed last, left off."""
-    shapes, classes = _class_table(n)
-    return shapes[:-1], classes
-
-
 def _flip_verdict(fv, fu, lam):
     verdict = decide_equality(fv, fu, lam)
     return verdict._replace(equal=not verdict.equal)
 
 
-def _project_dropping_its_own_weight(x, lam):
-    """`project` with one weight too many left out: lam's own, which lam
-    dominates."""
-    kept = {i: c for i, c in x.entries.items() if sorted(Counter(i).values())[::-1] != list(lam)}
-    return project(tensor.SparseTensor(x.dim, x.order, kept), lam)
+# Faults that several tests put in, each one edit (`tests.reference.edited`).
+
+#: Class sums 0 but for the identity's class, which is 1: every form is
+#: then f^lam, so no projected tensor vanishes.
+IDENTITY_CLASS_SUM = (
+    crosscheck, "_class_sums",
+    "sum(math.prod(map(getitem, columns, sigma)) for sigma in _members(flat, n))",
+    "int(flat is classes[-1])",
+)
+#: The class sums with the identity's class, listed last, left out.
+CLASS_SUMS_WITHOUT_IDENTITY = (
+    crosscheck, "_class_sums", "for flat in classes", 'for flat in (*classes[:-1], b"")'
+)
+#: Each shape's Gram form taken with the character values of the shape after it.
+WEIGHTS_OF_NEXT_SHAPE = (
+    crosscheck, "properties",
+    "weights = [_class_weights(lam, partitions) for lam in partitions]",
+    "weights = [(_class_weights(lam, partitions)[0], _class_weights(mu, partitions)[1])"
+    " for lam, mu in zip(partitions, partitions[1:] + partitions[:1])]",
+)
+#: A matching witness that reports the identity sigma with the right
+#: scalars: only a witness whose sigma is not the identity shows it.
+IDENTITY_SIGMA = (
+    decision, "_search_matching",
+    "tuple(sigma), tuple(scalars)", "tuple(range(1, len(system) + 1)), tuple(scalars)",
+)
+#: No two tensors equal.
+UNEQUAL = (tensor, "tensor_equal", "return x.entries == y.entries", "return False")
 
 
 @pytest.mark.parametrize(
-    "name,module,target,broken,trials",
+    "name,fault,trials",
     [
-        ("right_action_law", crosscheck, "compose", lambda s, t: compose(t, s), 6),
-        ("projector_idempotent_and_complete", tensor, "isotypic_projector", _leaky_projector, 6),
-        ("projector_idempotent_and_complete", crosscheck, "_class_table",
-         _class_table_without_last_shape, 6),
-        ("gamas_matches_oracle", crosscheck, "_class_sums", _identity_class_sum, 6),
-        ("gamas_matches_oracle", crosscheck, "gamas_standard", lambda fam, lam: (False, None), 6),
-        ("gamas_matches_oracle", crosscheck, "gamas_standard", _reversed_rows, 6),
-        ("gamas_matches_oracle", crosscheck, "columns_independent", lambda fam, system: False, 6),
-        ("equality_matches_oracle", crosscheck, "decide_equality", _flip_verdict, 6),
-        ("projector_idempotent_and_complete", tensor, "apply_element", _apply_without_identity,
+        ("right_action_law",
+         (crosscheck, "properties", "act(x, compose(s, t))", "act(x, compose(t, s))"), 6),
+        ("projector_idempotent_and_complete", (tensor, "isotypic_projector", _leaky_projector),
          6),
-        ("projector_idempotent_and_complete", tensor, "isotypic_projector",
-         _projector_of_next_shape, 6),
-        ("gamas_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity, 6),
-        ("gamas_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape, 6),
-        ("equality_matches_oracle", crosscheck, "_class_sums", _class_sums_without_identity, 6),
-        ("equality_matches_oracle", crosscheck, "_class_weights", _weights_of_next_shape, 6),
-        ("projector_idempotent_and_complete", crosscheck, "project",
-         _project_dropping_its_own_weight, 6),
-        ("gamas_matches_oracle", crosscheck, "gamas_nonvanishing", _first_column_split, 6),
-        ("right_action_law", tensor, "_members", _inverse_members, 6),
-        ("equality_matches_oracle", decision, "_search_matching",
-         _identity_matching_reversed_scalars, 6),
+        # the identity's shape, listed last, left off the shapes the checks read
+        ("projector_idempotent_and_complete",
+         (crosscheck, "properties", "partitions, _ = _class_table(n)",
+          "partitions = _class_table(n)[0][:-1]"), 6),
+        ("gamas_matches_oracle", IDENTITY_CLASS_SUM, 6),
+        ("gamas_matches_oracle",
+         (decision, "gamas_standard", "return rows is not None, rows", "return False, None"), 6),
+        # a tableau of the shape, but not a standard one
+        ("gamas_matches_oracle",
+         (decision, "gamas_standard", "return rows is not None, rows",
+          "return rows is not None, rows and tuple(row[::-1] for row in rows)"), 6),
+        ("gamas_matches_oracle",
+         (decision, "columns_independent",
+          "return all(is_independent(family, column) for column in system)", "return False"),
+         6),
+        ("equality_matches_oracle", (crosscheck, "decide_equality", _flip_verdict), 6),
+        ("projector_idempotent_and_complete", (tensor, "apply_element", _apply_without_identity),
+         6),
+        ("projector_idempotent_and_complete",
+         (tensor, "isotypic_projector", _projector_of_next_shape), 6),
+        ("gamas_matches_oracle", CLASS_SUMS_WITHOUT_IDENTITY, 6),
+        ("gamas_matches_oracle", WEIGHTS_OF_NEXT_SHAPE, 6),
+        ("equality_matches_oracle", CLASS_SUMS_WITHOUT_IDENTITY, 6),
+        ("equality_matches_oracle", WEIGHTS_OF_NEXT_SHAPE, 6),
+        # one weight too many left out: lam's own, which lam dominates
+        ("projector_idempotent_and_complete",
+         (tensor, "project", "all(map(ge, bounds, accumulate(mu)))",
+          "all(map(ge, bounds, accumulate(mu))) and mu != list(lam)"), 6),
+        # independent columns, but not a column system of the shape
+        ("gamas_matches_oracle",
+         (decision, "gamas_nonvanishing", "return system is not None, system",
+          "return system is not None, system and tuple((i,) for i in system[0]) + system[1:]"),
+         6),
+        # the walked path acting by sigma^-1, which no class sum can tell from sigma
+        ("right_action_law",
+         (tensor, "apply_element", "itemgetter(*sigma) if",
+          "itemgetter(*sorted(range(1, n + 1), key=lambda i: sigma[i - 1])) if"), 6),
+        # scalars of product 1, but not the transition scalars of the matched columns
+        ("equality_matches_oracle",
+         (decision, "_search_matching", "SystemWitness(system, tuple(sigma), tuple(scalars))",
+          "SystemWitness(system, tuple(range(1, len(system) + 1)), tuple(scalars[::-1]))"), 6),
         # the first witness whose sigma is not the identity comes in the
         # tenth trial, a unit-product one
-        ("equality_matches_oracle", decision, "_search_matching", _identity_matching, 10),
+        ("equality_matches_oracle", IDENTITY_SIGMA, 10),
     ],
     ids=["action", "idempotent", "complete", "oracle", "standard", "standard-witness",
          "witness", "equality",
@@ -599,30 +578,24 @@ def _project_dropping_its_own_weight(x, lam):
          "pruned-own-weight", "witness-shape", "kernel-convention", "witness-matching",
          "witness-identity"],
 )
-def test_crosscheck_property_catches_a_broken_part(
-    monkeypatch, name, module, target, broken, trials
-):
-    """Each fault is caught within its number of trials."""
-    monkeypatch.setattr(module, target, broken)
+def test_crosscheck_property_catches_a_broken_part(monkeypatch, name, fault, trials):
+    """Each fault, an edit or a replacement function, is caught within its
+    number of trials."""
+    if callable(fault[-1]):
+        monkeypatch.setattr(*fault)
+    else:
+        sabotage(monkeypatch, *fault)
     prop = dict(crosscheck.properties(3, trials, random.Random(1)))[name]
     assert prop() is None
 
 
-class _FirstImageDropped(Counter):
-    """A counted run's tally of an entry's images with its first distinct
-    image left out."""
-
-    def items(self):
-        return list(super().items())[1:]
-
-
 def test_selfcheck_catches_a_broken_counted_path(monkeypatch, capsys):
     """The counted path of `apply_element`, which `symmetrize` runs, with
-    one image of each entry dropped, fails the projector property at two
-    of CI's selfcheck settings, seed 0: n = 3 with 25 trials, and n = 6
-    with 4 trials."""
-    monkeypatch.setattr(tensor, "Counter", _FirstImageDropped)
-    for n, trials in [(3, 25), (6, 4)]:
+    the first distinct image of each entry dropped, fails the projector
+    property, and only it, at each of CI's selfcheck settings."""
+    sabotage(monkeypatch, tensor, "apply_element",
+             "for word, k in counts.items():", "for word, k in list(counts.items())[1:]:")
+    for n, trials in SELFCHECK_SETTINGS:
         code = cli.main(["selfcheck", "--n", str(n), "--trials", str(trials), "--seed", "0"])
         results = json.loads(capsys.readouterr().out)["properties"]
         assert code == cli.EXIT_SELFCHECK_FAILED, n
@@ -631,50 +604,38 @@ def test_selfcheck_catches_a_broken_counted_path(monkeypatch, capsys):
         ]
 
 
-def _without_product_check(system, pairs, ratios):
-    """`_search_matching` with its product check disabled: a matching of
-    any product is a witness."""
-    witness, failure = _search_matching(system, pairs, ratios)
-    if failure is not None and failure.reason == PRODUCT_NOT_ONE:
-        return SystemWitness(system, (), failure.scalars), None
-    return witness, failure
-
-
-def _every_shape_nonzero(fam, lam):
-    return True, None
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize(
-    "name,patches",
+    "name,edits",
     [
         ("gamas_matches_oracle", [
-            (crosscheck, "gamas_nonvanishing", _every_shape_nonzero),
-            (crosscheck, "gamas_standard", _every_shape_nonzero),
+            (decision, "gamas_nonvanishing", "return system is not None, system",
+             "return True, None"),
+            (decision, "gamas_standard", "return rows is not None, rows", "return True, None"),
         ]),
-        ("equality_matches_oracle", [(decision, "_search_matching", _without_product_check)]),
+        # a matching of any product is a witness
+        ("equality_matches_oracle", [
+            (decision, "_search_matching", "if num != den:", "if False:"),
+        ]),
         *[
-            (name, [(crosscheck, target, broken)])
+            (name, [edit])
             for name in (
                 "projector_idempotent_and_complete",
                 "gamas_matches_oracle",
                 "equality_matches_oracle",
             )
-            for target, broken in (
-                ("_class_sums", _class_sums_without_identity),
-                ("_class_weights", _weights_of_next_shape),
-            )
+            for edit in (CLASS_SUMS_WITHOUT_IDENTITY, WEIGHTS_OF_NEXT_SHAPE)
         ],
     ],
     ids=["gamas-decider", "product-check",
          "class-projector", "shape-projector", "class-gamas", "shape-gamas",
          "class-equality", "shape-equality"],
 )
-def test_crosscheck_catches_sabotaged_deciders_and_gram_faults(monkeypatch, n, name, patches):
+def test_crosscheck_catches_sabotaged_deciders_and_gram_faults(monkeypatch, n, name, edits):
     """Deciders that agree with each other and leave no witness to check,
     and faults in the Gram forms, are each caught at n = 3, 4 and 5."""
-    for module, target, broken in patches:
-        monkeypatch.setattr(module, target, broken)
+    for edit in edits:
+        sabotage(monkeypatch, *edit)
     prop = dict(crosscheck.properties(n, 8, random.Random(n)))[name]
     assert prop() is None
 
@@ -699,21 +660,22 @@ def test_permutation_draw_is_rng_choice_of_the_list(n):
 
 
 @pytest.mark.parametrize(
-    "name,target,broken,calls_per_trial",
+    "name,target,fault,calls_per_trial",
     [
-        ("right_action_law", "tensor_equal", lambda x, y: False, (1, 1, 1, 1)),
-        ("projector_idempotent_and_complete", "tensor_equal", lambda x, y: False, (4,) * 4),
-        ("gamas_matches_oracle", "_class_sums", _identity_class_sum, (1, 1, 1, 1)),
+        ("right_action_law", "tensor_equal", UNEQUAL, (1, 1, 1, 1)),
+        ("projector_idempotent_and_complete", "tensor_equal", UNEQUAL, (4,) * 4),
+        ("gamas_matches_oracle", "_class_sums", IDENTITY_CLASS_SUM, (1, 1, 1, 1)),
         # one call per shape of 3; the unit-product trial decides u and u rotated
         ("equality_matches_oracle", "decide_equality", _flip_verdict, (3, 6, 3, 3)),
     ],
     ids=["action", "projector", "gamas", "equality"],
 )
 def test_crosscheck_property_catches_a_fault_in_its_last_trial(
-    monkeypatch, name, target, broken, calls_per_trial
+    monkeypatch, name, target, fault, calls_per_trial
 ):
     trials = len(calls_per_trial)
     real = getattr(crosscheck, target)
+    broken = fault if callable(fault) else edited(*fault)
     calls, healthy = 0, math.inf
 
     def late_fault(*args):
@@ -795,13 +757,6 @@ def test_shifted_family_is_a_change_of_coordinates_of_determinant_one():
         assert dim == 1 or all(g[i][i] == 0 for i in range(dim))
 
 
-#: Every family of two vectors of Q^2 with entries in {-1, 0, 1}: 81.
-TINY_FAMILIES = [
-    VectorFamily(2, pair)
-    for pair in itertools.product(itertools.product((F(-1), F(0), F(1)), repeat=2), repeat=2)
-]
-
-
 def _tiny_sweep() -> Counter:
     """Every tiny family for both shapes of 2 against the projection
     oracle, with no seed to be lucky with: both Gamas deciders against
@@ -810,10 +765,16 @@ def _tiny_sweep() -> Counter:
     equal, each witness, of failed verdicts too, checked by
     `crosscheck._matching_witness`.  Counts the checks, the checks that
     failed, the witnesses rejected and the witnesses whose sigma is not the
-    identity."""
+    identity.  The families are made anew, with no span key memoized by an
+    earlier sweep."""
+    # every family of two vectors of Q^2 with entries in {-1, 0, 1}: 81
+    families = [
+        VectorFamily(2, pair)
+        for pair in itertools.product(itertools.product((F(-1), F(0), F(1)), repeat=2), repeat=2)
+    ]
     counts = Counter()
     for lam in ((2,), (1, 1)):
-        oracle = [(f, project(decomposable(f), lam)) for f in TINY_FAMILIES]
+        oracle = [(f, project(decomposable(f), lam)) for f in families]
         for f, x in oracle:
             nonzero = not tensor.is_zero(x)
             counts["checks"] += 1
@@ -843,15 +804,7 @@ def test_every_tiny_instance_agrees_with_the_oracle():
 
 
 def test_tiny_sweep_rejects_a_witness_reported_with_the_identity_sigma(monkeypatch):
-    search = decision._search_matching
-
-    def identity_sigma(system, pairs, ratios):
-        witness, failure = search(system, pairs, ratios)
-        if witness is not None:
-            witness = witness._replace(sigma=tuple(range(1, len(system) + 1)))
-        return witness, failure
-
-    monkeypatch.setattr(decision, "_search_matching", identity_sigma)
+    sabotage(monkeypatch, *IDENTITY_SIGMA)
     counts = _tiny_sweep()
     assert counts["moved"] == 0
     assert counts["rejected"] == counts["failed"] == 96

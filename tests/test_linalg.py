@@ -370,6 +370,8 @@ def test_inexact_entries_are_refused(value):
         rank([[1, value]])
     with pytest.raises(TypeError):
         determinant([[value]])
+    with pytest.raises(TypeError):
+        format_rational(value)
 
 
 def test_vector_family_keeps_entries():
@@ -476,6 +478,7 @@ def test_rational_serialization_round_trip(q):
 def test_rational_formatting():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-1, 2)) == "-1/2"
+    assert format_rational(-4) == "-4"
     assert parse_rational("7/3") == F(7, 3)
     assert parse_rational(-4) == -4
     assert parse_rational("-0/5") == 0

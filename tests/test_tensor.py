@@ -431,7 +431,7 @@ def test_apply_element_of_a_long_run_holds_one_slice_of_words():
 
 
 @pytest.mark.parametrize("top", [255, 256])
-def test_isotypic_components_past_a_byte_match_projectors(top):
+def test_projectors_applied_past_a_byte_match_the_reference(top):
     """Index 255 is the last a byte table holds, so the projectors' long
     runs are counted; 256 sends every run down the walked path."""
     x = SparseTensor(300, 4, {(top, 1, top, 7): F(2, 3), (3, top, 299 - top, top): F(-1, 4),
@@ -486,7 +486,7 @@ def _tensors(draw):
 @example(SparseTensor(2, 0, {(): F(-3, 4)}))
 @example(SparseTensor(3, 1, {(1,): F(1, 2), (3,): F(2, 3)}))
 @example(SparseTensor(2, 3, {(1, 2, 2): F(1, 6), (2, 1, 1): F(-3, 4), (1, 1, 1): F(5)}))
-def test_isotypic_components_sum_to_the_tensor(x):
+def test_projections_of_every_shape_sum_to_the_tensor(x):
     total = SparseTensor(x.dim, x.order)
     for lam in enumerate_partitions(x.order):
         component = apply_element(x, isotypic_projector(lam))
@@ -544,7 +544,7 @@ def test_gram_forms_match_the_projected_tensors(pair):
 # at order 60 the backstop must come before listing the 966,467 shapes,
 # and at 2000 the message must not need 2000!, past the int-to-str limit
 @pytest.mark.parametrize("order", [11, 17, 60, 2000])
-def test_isotypic_components_refuse_past_the_class_table(monkeypatch, order):
+def test_projector_refused_past_the_class_table(monkeypatch, order):
     def unlisted(n):
         raise AssertionError(f"listed the shapes of {n}")
 
