@@ -9,9 +9,11 @@ column by column and cuts every branch at a column that cannot occur in
 a system the decider would use: a dependent one for Gamas, one dependent
 on both sides for equality.  Each family memoizes each column's
 `span_key`, one fraction-free integer elimination, for every decider call
-on it: independence is having a key, span equality is equality of the
-keys' primitive integer bases, and a greedy column matching within equal
-keys decides, with the ratios of the keys' rational minors as its scalars.
+on it; a column of dim vectors runs only its forward half, since its span
+can only be all of Q^dim.  Independence is having a key, span equality is
+equality of the keys' primitive integer bases, and a greedy column
+matching within equal keys decides, with the ratios of the keys' rational
+minors as its scalars.
 Each (v column, u column) ratio is computed once per call, and the
 product of a matching is decided on integers.
 """

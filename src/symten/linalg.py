@@ -3,8 +3,11 @@
 Everything here is one fraction-free elimination, `_echelon`, on
 integers: each rational row is scaled by the lcm of its denominators
 first, and only a minor that `span_key` or `determinant` returns is a
-`fractions.Fraction`.  A family memoizes each selection's `span_key`,
-which `is_independent`, `span_equal` and `transition_scalar` read.
+`fractions.Fraction`.  Its back half, which clears above the pivots,
+runs only for the span key of fewer than dim vectors, the one caller
+that reads a reduced basis.  A family memoizes each selection's
+`span_key`, which `is_independent`, `span_equal` and
+`transition_scalar` read.
 Entries are ints or Fractions and no floating point exists anywhere in
 the package, so every result is exact and bit-reproducible.  Selections
 of vectors are always read in increasing index order; the equality
@@ -99,14 +102,15 @@ def _scaled(values: Collection[Fraction]) -> tuple[tuple[int, ...], int]:
 
 
 def _echelon(
-    rows: Sequence[tuple[Sequence[int], int]],
+    rows: Sequence[tuple[Sequence[int], int]], *, reduce: bool
 ) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination on integer-scaled rows.
+    """Fraction-free elimination on integer-scaled rows: Gaussian, or
+    Gauss-Jordan when reduce is true.
 
     rows are (integer row, scale) pairs as `_scaled` makes them, standing
     for the rational rows integer row / scale.  The integer rows are
     eliminated by Bareiss' rule (Math. Comp. 22, 1968), applied to the rows
-    above each pivot as well as below:
+    below each pivot, and to those above it as well when reduce is true:
     row <- (pivot * row - factor * pivot_row) // previous pivot, a division
     that is exact by Sylvester's identity.  Zero columns are skipped; the
     loop stops as soon as every row has a pivot.
@@ -115,7 +119,8 @@ def _echelon(
     len(pivots) rows, and the integer minor on the pivot columns (0 when
     some row has no pivot): the last pivot, signed by the row swaps.  Over
     the product of the scales, it is the minor of the rational rows; only
-    `span_key` and `determinant` divide it into a `Fraction`.  The first
+    `span_key` and `determinant` divide it into a `Fraction`.  The pivots
+    and the minor do not depend on reduce.  When reduce is true, the first
     len(pivots) rows are that integer pivot times the reduced row-echelon
     rows.
     """
@@ -136,8 +141,9 @@ def _echelon(
             sign = -sign
         prev, piv = pivot, m[r]
         pivot = piv[c]
-        for i, row in enumerate(m):
+        for i in range(n_rows) if reduce else range(r + 1, n_rows):
             if i != r:
+                row = m[i]
                 f = row[c]
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, piv)]
         pivots.append(c)
@@ -157,7 +163,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank; entries are non-bool ints or Fractions, else TypeError."""
     if len(set(map(len, rows))) > 1:
         raise ValueError("rank of rows of unequal length")
-    return len(_echelon([_scaled(row) for row in _exact(rows)])[1])
+    return len(_echelon([_scaled(row) for row in _exact(rows)], reduce=False)[1])
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -166,35 +172,47 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     if any(len(row) != size for row in rows):
         raise ValueError("determinant of a non-square matrix")
     scaled = [_scaled(row) for row in _exact(rows)]
-    return Fraction(_echelon(scaled)[2], math.prod(scale for _, scale in scaled))
+    return Fraction(_echelon(scaled, reduce=False)[2], math.prod(scale for _, scale in scaled))
 
 
 class _SpanKeys(dict):
     """Increasing 1-based column -> `span_key` of one family's integer rows
-    and dim, each computed on first use; a key is truthy, None is not."""
+    and dim, each computed on first use; a key is truthy, None is not.
+    The identity basis, which every key of dim vectors shares, is built
+    with the first of them."""
 
-    __slots__ = ("rows", "dim")
+    __slots__ = ("rows", "dim", "identity")
 
     def __init__(self, rows: Sequence[tuple[Sequence[int], int]], dim: int):
         self.rows, self.dim = rows, dim
+        self.identity: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __missing__(self, column: tuple[int, ...]) -> Optional[SpanKey]:
         for i in column:
             if not 1 <= i <= len(self.rows):
                 raise IndexError(f"index {i} out of range 1..{len(self.rows)}")
         rows = [self.rows[i - 1] for i in column]
-        # more vectors than dimensions are dependent, with no elimination
-        m, pivots, minor = _echelon(rows) if len(rows) <= self.dim else ([], [], 0)
+        k = len(rows)
+        # more vectors than dimensions are dependent, with no elimination;
+        # the basis is read off reduced rows only for fewer than dim vectors
+        m, pivots, minor = _echelon(rows, reduce=k < self.dim) if k <= self.dim else ([], [], 0)
         if not minor:
             self[column] = None
             return None
-        basis = []
-        for row, c in zip(m, pivots):
-            g = math.gcd(*row)
-            if row[c] < 0:
-                g = -g
-            basis.append(tuple([x // g for x in row]))
-        key = self[column] = tuple(basis), Fraction(minor, math.prod(scale for _, scale in rows))
+        if k == self.dim:
+            # dim independent vectors span all of Q^dim
+            if self.identity is None:
+                self.identity = tuple(tuple([int(i == j) for j in range(k)]) for i in range(k))
+            basis = self.identity
+        else:
+            primitive = []
+            for row, c in zip(m, pivots):
+                g = math.gcd(*row)
+                if row[c] < 0:
+                    g = -g
+                primitive.append(tuple([x // g for x in row]))
+            basis = tuple(primitive)
+        key = self[column] = basis, Fraction(minor, math.prod(scale for _, scale in rows))
         return key
 
 
@@ -208,9 +226,11 @@ def span_key(family: VectorFamily, indices: Iterable[int]) -> Optional[SpanKey]:
 
     basis holds the reduced row-echelon basis of their span, each row
     scaled to coprime integers with a positive pivot; that renaming is one
-    to one, so basis names the span alone.  d is their minor on its pivot
-    columns, so two selections with one basis have
-    wedge(a) = (d_a / d_b) * wedge(b).  The family memoizes each key.
+    to one, so basis names the span alone.  For dim vectors it is the
+    identity, and only the forward half of the elimination runs, for d.
+    d is their minor on its pivot columns, so two selections with one
+    basis have wedge(a) = (d_a / d_b) * wedge(b).  The family memoizes
+    each key.
     """
     return family._span_keys[tuple(sorted(indices))]
 

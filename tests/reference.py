@@ -4,7 +4,8 @@ The Young symmetrizers check `isotypic_projector` and `apply_element`
 without characters, and the fillings check the column-system searches.
 The Gram-Schmidt character table checks `mn_character`, and the hook
 length formula its values on the identity.  `count_eliminations` counts
-the span keys the deciders compute.  The families from `vandermonde` to
+the span keys the deciders compute, and which half of the elimination
+each runs.  The families from `vandermonde` to
 `transformed` fix the deciders' verdicts by construction, past the
 degrees the oracle reaches.  `from_json_obj`
 parses what `symmetrize` writes, and `verdict_json` is the payload whose
@@ -50,13 +51,14 @@ def fam(*vectors) -> VectorFamily:
 
 
 def count_eliminations(monkeypatch) -> list:
-    """The rows of every `linalg._echelon` call from now on, in order."""
+    """The rows and the reduce flag of every `linalg._echelon` call from
+    now on, in order."""
     calls = []
     echelon = linalg._echelon
 
-    def counted(rows):
-        calls.append(rows)
-        return echelon(rows)
+    def counted(rows, *, reduce):
+        calls.append((rows, reduce))
+        return echelon(rows, reduce=reduce)
 
     monkeypatch.setattr(linalg, "_echelon", counted)
     return calls

@@ -324,6 +324,42 @@ def test_equal_pairs_that_are_not_rescalings(lam):
         assert decide_equality(fv, fu, lam).equal
 
 
+def test_equal_columns_of_proper_subspaces_that_are_not_rescalings():
+    """lam = (1^k) in dimension k + 1 and k + 2: one column, whose k
+    independent vectors span a proper subspace.  u_j = sum_i A_ij v_i spans
+    it too, with wedge(u) = det(A) wedge(v): equal projections when
+    det A = 1, and distinct ones when a column of A is doubled.  The two
+    sides reach one span by different eliminations, so a basis that is not
+    fully reduced shows."""
+    for k in (2, 3, 4):
+        for dim in (k + 1, k + 2):
+            lam = (1,) * k
+            projector = isotypic_projector(lam)
+            rng = random.Random(10 * k + dim)
+            numerators = (0, 0, 1, -1, 2, 3)
+            for _ in range(5):
+                vectors = []
+                while rank(vectors) < k:
+                    vectors = [
+                        [F(rng.choice(numerators), rng.choice((1, 1, 2))) for _ in range(dim)]
+                        for _ in range(k)
+                    ]
+                fv = fam(*vectors)
+                a = _unimodular(rng, k, 1)
+                doubled = [[2 * x if j == 0 else x for j, x in enumerate(row)] for row in a]
+                cv = apply_element(decomposable(fv), projector)
+                for matrix, equal in ((a, True), (doubled, False)):
+                    fu = fam(*(
+                        [sum(row[j] * v[c] for row, v in zip(matrix, vectors)) for c in range(dim)]
+                        for j in range(k)
+                    ))
+                    cu = apply_element(decomposable(fu), projector)
+                    assert tensor_equal(cv, cu) == equal
+                    verdict = decide_equality(fv, fu, lam)
+                    assert verdict.equal == equal
+                    assert verdict.mode == ("witnessed" if equal else "failed")
+
+
 def test_matching_on_parallel_columns_is_linear(monkeypatch):
     # lambda = (9): one column system of nine singleton columns, all of one
     # span, and no matching of product 1; a search over matchings would

@@ -6,7 +6,10 @@ asserts that each of them does.  A row marked EQUIVALENT names none: its
 edit changes nothing the checks can see, and the test asserts that every
 check passes with it in place.  The checks are CI's selfcheck settings,
 each run as `selfcheck` runs it; the exhaustive tiny sweep; the verdicts
-fixed by construction past the oracle; and the goldens, run in-process.
+fixed by construction past the oracle; the goldens, run in-process; equal
+pairs on proper subspaces that are not rescalings; and the integer
+elimination against a rational one, a Hypothesis property that reports
+its first falsifying example only.
 The memoized character values, class table and parser are cleared before
 and after each row, so that a fault in what they memoize is met, and
 leaves nothing behind.
@@ -20,6 +23,7 @@ import io
 import pytest
 
 import tests.test_decision as decision_tests
+import tests.test_linalg as linalg_tests
 from symten import characters, cli, combinatorics, decision, group_algebra, linalg
 from tests.reference import edited, sabotage
 from tests.test_cli import GOLDEN, GOLDEN_COMMANDS, SELFCHECK_SETTINGS
@@ -56,6 +60,10 @@ CHECKS = {
     "tiny sweep": decision_tests.test_every_tiny_instance_agrees_with_the_oracle,
     "constructed": decision_tests.test_constructed_verdicts_past_the_oracle,
     "goldens": _goldens,
+    "proper subspaces": (
+        decision_tests.test_equal_columns_of_proper_subspaces_that_are_not_rescalings
+    ),
+    "rational elimination": linalg_tests.test_integer_elimination_matches_rational_reference,
 }
 EQUIVALENT = ()
 
@@ -66,7 +74,10 @@ FAULTS = [
     # a row swap that keeps the sign of the minor
     pytest.param(
         linalg, "_echelon", "sign = -sign", "pass",
-        (*_selfchecks((3, 25), (4, 100), (6, 4)), "tiny sweep", "constructed"),
+        (
+            *_selfchecks((3, 25), (4, 100), (6, 4)), "tiny sweep", "constructed",
+            "proper subspaces", "rational elimination",
+        ),
         id="echelon-swap-sign",
     ),
     # the product checked only on systems of at most 4 columns
@@ -78,7 +89,7 @@ FAULTS = [
     # only on systems of at least 2 columns
     pytest.param(
         decision, "_search_matching", "if num != den:", "if num != den and len(system) >= 2:",
-        (*_selfchecks((3, 25)), "tiny sweep", "goldens"),
+        (*_selfchecks((3, 25)), "tiny sweep", "goldens", "proper subspaces"),
         id="product-check-from-2-columns",
     ),
     # only on systems of fewer than 9 columns, which no degree up to 8 has
@@ -108,22 +119,37 @@ FAULTS = [
     # a border strip removed onto a beta number already there
     pytest.param(
         characters, "_border_strip_removals", "if b < 0 or b in beta_set:", "if b < 0:",
-        (*ALL_SELFCHECKS, "tiny sweep", "goldens"),
+        (*ALL_SELFCHECKS, "tiny sweep", "goldens", "proper subspaces"),
         id="invalid-border-strips",
     ),
-    # a span key's basis rows signed by their last entry, not their pivot
+    # a span key's basis rows signed by their last entry, not their pivot;
+    # only keys of fewer than dim vectors sign rows
     pytest.param(
         linalg, "_SpanKeys.__missing__", "if row[c] < 0:", "if row[-1] < 0:",
-        (*ALL_SELFCHECKS, "tiny sweep", "constructed", "goldens"),
+        (
+            *_selfchecks((3, 25), (4, 100), (5, 25)), "tiny sweep", "constructed", "goldens",
+            "proper subspaces", "rational elimination",
+        ),
         id="span-key-sign-column",
     ),
     # dependent span keys for columns of 5 or more vectors, which only
     # dimension 5 and up can make independent
     pytest.param(
-        linalg, "_SpanKeys.__missing__",
-        "if len(rows) <= self.dim else", "if len(rows) <= min(self.dim, 4) else",
+        linalg, "_SpanKeys.__missing__", "if k <= self.dim else", "if k <= min(self.dim, 4) else",
         ("constructed",),
         id="span-key-past-4-vectors",
+    ),
+    # the basis of dim - 1 vectors read off rows the back half never cleared
+    pytest.param(
+        linalg, "_SpanKeys.__missing__", "reduce=k < self.dim", "reduce=k < self.dim - 1",
+        ("proper subspaces", "rational elimination"),
+        id="span-key-unreduced-below-dim",
+    ),
+    # the identity basis given to dim - 1 independent vectors as well
+    pytest.param(
+        linalg, "_SpanKeys.__missing__", "if k == self.dim:", "if k >= self.dim - 1:",
+        (*_selfchecks((3, 25)), "tiny sweep", "constructed", "goldens", "rational elimination"),
+        id="span-key-identity-below-dim",
     ),
     # each v column matched to the last free u column of its span: a
     # matching still, of the same product, but another witness

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -327,7 +328,7 @@ def matrices(draw):
     return dim, rows
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
 @given(matrices())
 def test_integer_elimination_matches_rational_reference(case):
     dim, rows = case
@@ -401,13 +402,39 @@ def test_span_key_memo_eliminates_each_selection_once(monkeypatch):
     eliminations = count_eliminations(monkeypatch)
     family = fam(E1, E2, (1, 1, 0), E3)
     for _ in range(2):
-        for indices in ({1, 2}, [2, 1], (1, 2, 3), {1, 2, 3, 4}, {4, 3}):
+        for indices in ({1, 2}, [2, 1], (1, 2, 3), {1, 2, 3, 4}, {4, 3}, {4, 2, 1}):
             span_key(family, indices)
             is_independent(family, indices)
         assert transition_scalar(family, {1, 2}, family, {3, 2}) == -1
         assert span_equal(family, {1, 2}, family, {1, 3})
-    # {1, 2, 3, 4} has more vectors than dimensions and needs no elimination
-    assert len(eliminations) == 5
+    # {1, 2, 3, 4} has more vectors than dimensions and needs no elimination;
+    # keys of dim vectors read only the minor, so only the forward half runs
+    assert [(len(rows), reduce) for rows, reduce in eliminations] == [
+        (2, True), (3, False), (2, True), (3, False), (2, True), (2, True),
+    ]
+    assert span_key(family, {1, 2, 4}) == ((E1, E2, E3), 1)
+    eliminations.clear()
+    assert rank([E1, (1, 1, 0), E2]) == 2
+    assert determinant([E1, (1, 1, 0), E3]) == 1
+    assert [reduce for _, reduce in eliminations] == [False, False]
+
+
+def test_identity_basis_is_built_with_the_first_key_of_dim_vectors():
+    # an identity basis of dimension 3,000 holds 9,000,000 entries
+    dim = 3000
+    tracemalloc.start()
+    try:
+        family = VectorFamily(dim, [[1] + [0] * (dim - 1)])
+        assert span_key(family, {1}) == (((1,) + (0,) * (dim - 1),), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+    assert family._span_keys.identity is None
+    square = fam(E1, (1, 1, 0), E2, E3)
+    assert square._span_keys.identity is None
+    assert span_key(square, {1, 2, 4}) == ((E1, E2, E3), 1)
+    assert span_key(square, {2, 3, 4})[0] is square._span_keys.identity
 
 
 def test_independence_matches_nonzero_minor():
